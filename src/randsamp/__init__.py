@@ -25,6 +25,7 @@ from .experiments import (
 from .fourier import dft_adjoint, dft_forward, dft_matrix, sensing_matrix
 from .obs_matrix import (
     ObservationMatrix,
+    build,
     build_naive,
     build_poisson,
     build_truncated,
@@ -74,6 +75,7 @@ __all__ = [
     "TrigSignal",
     "TvConfig",
     "UniformSignal",
+    "build",
     "build_naive",
     "build_poisson",
     "build_truncated",

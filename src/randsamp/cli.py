@@ -202,7 +202,7 @@ def _cmd_build_matrix(args) -> int:
     times = _read_column(args.times, "time") - args.t0
     if args.method == "truncated" and args.p_terms is None:
         raise UsageError("--method truncated needs --p-terms")
-    matrix = experiments._build_matrix(args.method, times, args.interval, args.n, args.p_terms)
+    matrix = obs_matrix.build(args.method, times, args.interval, args.n, args.p_terms)
     out = _resolve_out(args.out)
     if out is None:
         raise UsageError("build-matrix needs --out (matrix CSV is not written to stdout)")

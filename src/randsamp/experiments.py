@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .fourier import sensing_matrix
-from .obs_matrix import ObservationMatrix, build_naive, build_poisson, build_truncated
+from .obs_matrix import METHODS, ObservationMatrix, build, check_p_terms
 from .signals import (
     GaussPulseSignal,
     SquareSignal,
@@ -104,10 +104,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
-        if self.method not in ("naive", "truncated", "poisson"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown matrix method {self.method!r}")
-        if self.method == "truncated" and (self.p_terms is None or self.p_terms % 2 != 0):
-            raise ValueError("truncated method needs an even p_terms")
+        if self.method == "truncated" and self.p_terms is None:
+            raise ValueError("truncated method needs p_terms")
+        if self.p_terms is not None:
+            check_p_terms(self.p_terms)
         if self.solver is not None and self.solver not in ("omp", "tv"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.runs < 1:
@@ -265,14 +267,6 @@ class ExperimentReport:
         )
 
 
-def _build_matrix(method: str, times, interval: float, n_grid: int, p_terms) -> ObservationMatrix:
-    if method == "naive":
-        return build_naive(times, interval, n_grid)
-    if method == "truncated":
-        return build_truncated(times, interval, n_grid, p_terms)
-    return build_poisson(times, interval, n_grid)
-
-
 def _recover(plan: ResolvedPlan, m0: ObservationMatrix, values):
     if plan.solver == "omp":
         return omp_recover(sensing_matrix(m0), values, plan.omp)
@@ -290,7 +284,7 @@ def _single_run(run_id: int, cfg: ExperimentConfig, plan: ResolvedPlan, referenc
     tic = time.perf_counter()
     # The matrix kernel places grid point n at time n*interval, so sample
     # times are passed relative to the grid origin.
-    m0 = _build_matrix(cfg.method, times - plan.t0, plan.interval, plan.n_grid, cfg.p_terms)
+    m0 = build(cfg.method, times - plan.t0, plan.interval, plan.n_grid, cfg.p_terms)
     build_time = time.perf_counter() - tic
 
     tic = time.perf_counter()
@@ -327,7 +321,7 @@ def reconstruct_once(cfg: ExperimentConfig, run_id: int = 0) -> Reconstruction:
     seed = derive_run_seed(cfg.master_seed, run_id)
     times = draw_random_times(plan.m_samples, plan.duration, plan.t0, seed)
     samples = sample_at(plan.signal, times, duration=plan.duration, seed=seed)
-    m0 = _build_matrix(cfg.method, times - plan.t0, plan.interval, plan.n_grid, cfg.p_terms)
+    m0 = build(cfg.method, times - plan.t0, plan.interval, plan.n_grid, cfg.p_terms)
     result = _recover(plan, m0, samples.values)
     return Reconstruction(
         run_id=run_id,
@@ -369,11 +363,10 @@ def sweep_truncation(cfg: ExperimentConfig, p_list, jobs: int = 1):
     p_list = list(p_list)
     if not p_list:
         raise ValueError("p_list must be nonempty")
-    rows = []
-    for p in p_list:
-        rows.append((p, run_experiment(replace(cfg, method="truncated", p_terms=p), jobs=jobs)))
-    rows.append((None, run_experiment(replace(cfg, method="poisson", p_terms=None), jobs=jobs)))
-    return rows
+    # Every config is built, and so every P validated, before the first run.
+    configs = [replace(cfg, method="truncated", p_terms=p) for p in p_list]
+    configs.append(replace(cfg, method="poisson", p_terms=None))
+    return [(c.p_terms, run_experiment(c, jobs=jobs)) for c in configs]
 
 
 def _fmt(value: float) -> str:

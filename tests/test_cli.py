@@ -96,6 +96,12 @@ class TestSweepCommand:
         proc = run_cli("sweep-p", "--p-list", "2,x")
         assert proc.returncode == 1
 
+    def test_rejects_odd_p(self, run_cli):
+        proc = run_cli("sweep-p", "--p-list", "2,3")
+        assert proc.returncode == 1
+        assert "p_terms must be an even integer >= 2, got 3" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestPipeline:
     def test_generate_sample_build_recover(self, run_cli, tmp_path):

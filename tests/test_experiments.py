@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from randsamp import experiments
 from randsamp.experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -100,6 +101,11 @@ class TestResolvePlan:
             ExperimentConfig(preset="trig", runs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(preset="trig", solver="cg")
+
+    @pytest.mark.parametrize("p_terms", [0, -2, -4, 3, 1])
+    def test_rejects_bad_truncation_length(self, p_terms):
+        with pytest.raises(ValueError, match="even integer >= 2"):
+            ExperimentConfig(preset="trig", method="truncated", p_terms=p_terms)
 
 
 def small_trig_config(**kw):
@@ -226,6 +232,14 @@ class TestSweep:
     def test_empty_p_list_rejected(self):
         with pytest.raises(ValueError):
             sweep_truncation(small_trig_config(), [])
+
+    def test_bad_p_list_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_experiment", lambda cfg, jobs=1: calls.append(cfg))
+        for p_list in ([2, 2000, 3], [0], [2, -2]):
+            with pytest.raises(ValueError, match="even integer >= 2"):
+                sweep_truncation(small_trig_config(), p_list)
+        assert calls == []
 
 
 class TestSerialization:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from randsamp.obs_matrix import (
     ObservationMatrix,
+    build,
     build_naive,
     build_poisson,
     build_truncated,
@@ -99,6 +100,36 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_truncated(np.array([0.5]), 1.0, 8, 0)
 
+    def test_build_dispatches_by_method(self):
+        times = np.array([0.3, 2.0, 5.7])
+        for method, direct in [
+            ("naive", build_naive(times, 1.0, 8)),
+            ("truncated", build_truncated(times, 1.0, 8, 20)),
+            ("poisson", build_poisson(times, 1.0, 8)),
+        ]:
+            m0 = build(method, times, 1.0, 8, p_terms=20)
+            assert m0.method == method
+            assert np.array_equal(m0.entries, direct.entries)
+        assert build("naive", times, 1.0, 8).p_terms is None
+        with pytest.raises(ValueError, match="needs p_terms"):
+            build("truncated", times, 1.0, 8)
+        with pytest.raises(ValueError, match="unknown construction method"):
+            build("bogus", times, 1.0, 8)
+
+    def test_truncated_grid_hits_emit_no_runtime_warning(self):
+        # theta = t - n is an exact integer at every entry, so each entry is
+        # 1 where theta + p N == 0 for a p in the window and 0 elsewhere.
+        # With P = 2 the window is p in {0, 1}: t = -N meets p = 1 at n = 0,
+        # while t = N would need p = -1 and so gives an all-zero row.
+        for n in (8, 9):
+            times = np.array([0.0, 3.0, 7.0, -n, n])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                m0 = build_truncated(times, 1.0, n, 2)
+            expected = np.zeros((5, n))
+            expected[0, 0] = expected[1, 3] = expected[2, 7] = expected[3, 0] = 1.0
+            assert np.array_equal(m0.entries, expected)
+
     def test_poisson_on_grid_rows_are_unit_vectors(self):
         times = np.array([0.0, 3.0, 7.0])
         m0 = build_poisson(times, 1.0, 16)
@@ -128,6 +159,38 @@ class TestBuilders:
     def test_more_samples_than_grid_warns(self):
         with pytest.warns(UserWarning):
             build_naive(np.linspace(0.0, 3.0, 10), 1.0, 4)
+
+
+def sinc_sum(times, n, p_terms):
+    """The truncated periodization summed term by term with np.sinc."""
+    theta = np.asarray(times, dtype=float)[:, None] - np.arange(n)[None, :]
+    out = np.zeros_like(theta)
+    for p in range(-p_terms // 2 + 1, p_terms // 2 + 1):
+        out += np.sinc(theta + p * n)
+    return out
+
+
+@st.composite
+def truncated_cases(draw):
+    """(times, N, P) with unit interval, so theta = t - n exactly. Times span
+    several grid lengths on both sides of the window and include exact grid
+    hits (theta an integer) and near-hits within 1e-9 of one."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=min(8, n)))
+    hit = st.integers(-2 * n, 2 * n).map(float)
+    near = st.tuples(hit, st.floats(-1e-9, 1e-9)).map(sum)
+    anywhere = st.floats(-2.0 * n, 2.0 * n)
+    times = draw(st.lists(st.one_of(hit, near, anywhere), min_size=m, max_size=m))
+    return np.array(times), n, draw(st.sampled_from([2, 20, 200]))
+
+
+class TestTruncatedAgainstSincSum:
+    @given(truncated_cases())
+    def test_matches_term_by_term_sum(self, case):
+        times, n, p_terms = case
+        entries = build_truncated(times, 1.0, n, p_terms).entries
+        assert np.all(np.isfinite(entries))
+        assert np.max(np.abs(entries - sinc_sum(times, n, p_terms))) <= 1e-12
 
 
 class TestAgainstTruncationOracle:

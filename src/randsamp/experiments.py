@@ -255,7 +255,8 @@ class ExperimentReport:
         return cls(
             preset=cfg.preset,
             method=cfg.method,
-            p_terms=cfg.p_terms,
+            # only the truncated build uses P; the other methods ignore it
+            p_terms=cfg.p_terms if cfg.method == "truncated" else None,
             m_samples=plan.m_samples,
             n_grid=plan.n_grid,
             master_seed=cfg.master_seed,

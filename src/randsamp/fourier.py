@@ -1,10 +1,13 @@
-"""Unitary DFT basis as an explicit matrix, plus the composed sensing matrix.
+"""Unitary DFT basis applied with ``np.fft``, plus the composed sensing matrix.
 
 Convention: forward coefficients are
 ``X[k] = (1/sqrt(N)) sum_n x[n] exp(-2 pi j k n / N)`` for k = 0..N-1, with
-negative frequencies stored at index N-k. The adjoint is the exact inverse
-under this normalization, so forward/adjoint round trips are the identity to
-machine precision and Parseval holds without scale factors.
+negative frequencies stored at index N-k. This is ``np.fft.fft`` with
+``norm="ortho"``; the adjoint is ``np.fft.ifft`` with the same norm and is the
+exact inverse, so forward/adjoint round trips are the identity to machine
+precision and Parseval holds without scale factors. Both cost O(N log N) and
+no N x N matrix is formed; :func:`dft_matrix` is kept as the explicit
+reference that tests compare the transforms against.
 """
 
 from __future__ import annotations
@@ -30,14 +33,12 @@ def dft_matrix(n: int) -> np.ndarray:
 
 def dft_forward(x) -> np.ndarray:
     """Unitary DFT coefficients of a length-N vector."""
-    x = np.asarray(x)
-    return dft_matrix(len(x)) @ x
+    return np.fft.fft(x, norm="ortho")
 
 
 def dft_adjoint(coeffs) -> np.ndarray:
     """Inverse of :func:`dft_forward`; maps coefficients back to samples."""
-    coeffs = np.asarray(coeffs)
-    return dft_matrix(len(coeffs)).conj() @ coeffs
+    return np.fft.ifft(coeffs, norm="ortho")
 
 
 def sensing_matrix(m0) -> np.ndarray:
@@ -45,6 +46,7 @@ def sensing_matrix(m0) -> np.ndarray:
 
     Column j of the result is the observation matrix applied to the j-th
     inverse-transform basis vector, so (result @ dft_forward(x)) equals
-    (m0.entries @ x) for any x.
+    (m0.entries @ x) for any x. Since the adjoint DFT matrix is symmetric,
+    this is the inverse transform of each row of M0.
     """
-    return m0.entries @ dft_matrix(m0.n_grid).conj()
+    return np.fft.ifft(m0.entries, axis=1, norm="ortho")

@@ -15,8 +15,9 @@ does not start at zero).
                    evaluated as (sin(pi theta) / pi) *
                    sum_p (-1)^(p N) / (theta + p N): one sine per entry plus
                    P cheap reciprocal passes.
-* ``poisson``   -- the exact periodization in closed form: the even-N
-                   Dirichlet kernel sin(pi theta) / (N tan(pi theta / N)),
+* ``poisson``   -- the exact periodization in closed form: the Dirichlet
+                   kernel sin(pi theta) / (N tan(pi theta / N)) for even N,
+                   sin(pi theta) / (N sin(pi theta / N)) for odd N,
                    evaluated once per entry with no inner summation.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Distance from the nearest multiple of N below which the closed-form kernel
-# switches to its removable-singularity limit (exactly 1 for even N).
+# switches to its removable-singularity limit (exactly 1 for either parity of N).
 SINGULARITY_EPS = 1e-9
 
 METHODS = ("naive", "truncated", "poisson")
@@ -64,20 +65,26 @@ class ObservationMatrix:
 
 
 def periodized_sinc(theta, n_grid: int):
-    """Periodized sinc kernel sum_p sinc(theta + p*n_grid) for even n_grid.
+    """Periodized sinc kernel sum_p sinc(theta + p*n_grid) for n_grid >= 2.
 
-    Evaluated through the closed form sin(pi theta) / (n_grid tan(pi theta / n_grid)).
-    Within SINGULARITY_EPS of a multiple of n_grid the removable singularity is
-    replaced by its limit, which is 1 for even n_grid. Accepts scalars or
+    Evaluated through the closed form sin(pi theta) / (n_grid tan(pi theta / n_grid))
+    for even n_grid and sin(pi theta) / (n_grid sin(pi theta / n_grid)) for odd
+    n_grid. Both have period n_grid, so they are taken at the exactly reduced
+    argument theta - n_grid * round(theta / n_grid), which keeps full accuracy
+    near theta = k n_grid for k != 0 (rounding in pi theta there costs up to
+    ~1e-5 at n_grid ~ 1000 in the unreduced argument). Within
+    SINGULARITY_EPS of a multiple of n_grid the removable singularity is
+    replaced by its limit, which is 1 for either parity. Accepts scalars or
     arrays.
     """
-    if n_grid < 2 or n_grid % 2 != 0:
-        raise ValueError("n_grid must be an even integer >= 2")
+    if n_grid < 2:
+        raise ValueError("n_grid must be at least 2")
     th = np.asarray(theta, dtype=float)
     delta = th - n_grid * np.round(th / n_grid)
     near = np.abs(delta) < SINGULARITY_EPS
-    safe = np.where(near, 0.25, th)
-    out = np.sin(np.pi * safe) / (n_grid * np.tan(np.pi * safe / n_grid))
+    safe = np.where(near, 0.25, delta)
+    denominator = np.tan if n_grid % 2 == 0 else np.sin
+    out = np.sin(np.pi * safe) / (n_grid * denominator(np.pi * safe / n_grid))
     out = np.where(near, 1.0, out)
     return float(out) if np.ndim(theta) == 0 else out
 
@@ -142,7 +149,7 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
 
 
 def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
-    """Exact periodized sinc matrix via the closed-form kernel; even n_grid only."""
+    """Exact periodized sinc matrix via the closed-form kernel, for either parity of n_grid."""
     times, theta = _kernel_args(times, interval, n_grid)
     return ObservationMatrix(periodized_sinc(theta, n_grid), "poisson", times, interval, n_grid)
 

@@ -80,6 +80,24 @@ class TestExperimentCommand:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_gauspuls_odd_grid(self, run_cli, tmp_path):
+        out = tmp_path / "r.csv"
+        proc = run_cli(
+            "experiment", "--preset", "gauspuls", "--rate", "9.99e6", "--runs", "2", "--out", out,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert set(read_csv_column(out, "N")) == {"927"}
+        assert max(float(e) for e in read_csv_column(out, "error")) < 0.05
+
+    def test_closed_form_rows_carry_no_p(self, run_cli, tmp_path):
+        out = tmp_path / "r.csv"
+        proc = run_cli(
+            "experiment", "--preset", "trig", "--matrix", "poisson", "--p-terms", "200",
+            "--runs", "2", "--seed", "7", "--out", out,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_csv_column(out, "P") == ["", "", ""]
+
 
 class TestSweepCommand:
     def test_sweep_csv_rows(self, run_cli, tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, strategies as st
 
 from randsamp.fourier import dft_adjoint, dft_forward, dft_matrix, sensing_matrix
 from randsamp.obs_matrix import build_poisson
 from randsamp.signals import TrigSignal, uniform_samples
+from randsamp.solvers import OmpConfig, SingularSystemError, omp_recover
 
 
 def brute_force_dft(x):
@@ -112,3 +114,53 @@ def test_column_norms_frozen_regression():
     # every column norm is bounded by the total row energy of the matrix
     assert np.all(col_norms <= np.linalg.norm(m0.entries) + 1e-12)
     assert float(col_norms.max()) == pytest.approx(0.6123724356957946, rel=1e-12)
+
+
+@st.composite
+def sensing_cases(draw):
+    """(times, N) with unit interval: N in [2, 64] of either parity and
+    M <= 8 distinct sorted times, each on the grid or anywhere in [0, N)."""
+    n = draw(st.integers(min_value=2, max_value=64))
+    m = draw(st.integers(min_value=1, max_value=min(8, n)))
+    on_grid = st.integers(0, n - 1).map(float)
+    anywhere = st.floats(0.0, float(n), exclude_max=True)
+    times = draw(st.lists(st.one_of(on_grid, anywhere), min_size=m, max_size=m, unique=True))
+    return np.sort(np.array(times)), n
+
+
+class TestAgainstExplicitMatrix:
+    @given(sensing_cases())
+    def test_sensing_matrix_equals_dense_product(self, case):
+        times, n = case
+        m0 = build_poisson(times, 1.0, n)
+        dense = m0.entries @ dft_matrix(n).conj()
+        assert np.max(np.abs(sensing_matrix(m0) - dense)) <= 1e-12
+
+    @given(st.integers(min_value=2, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_forward_and_round_trip(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.max(np.abs(dft_forward(x) - dft_matrix(n) @ x)) <= 1e-12
+        assert np.max(np.abs(dft_adjoint(dft_forward(x)) - x)) <= 1e-12
+
+    @given(sensing_cases(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_omp_on_real_signal_stays_real(self, case, seed):
+        times, n = case
+        assume(len(times) >= 2)
+        m0 = build_poisson(times, 1.0, n)
+        y = m0.entries @ np.random.default_rng(seed).standard_normal(n)
+        cfg = OmpConfig(max_atoms=len(times) - 1, residual_tol=0.0)
+        a = sensing_matrix(m0)
+        try:
+            res = omp_recover(a, y, cfg)
+        except SingularSystemError:
+            reject()
+        support = set(res.support)
+        assert support == {(n - j) % n for j in support}
+        raw = dft_adjoint(res.spectrum)
+        assert np.array_equal(res.recovered, raw.real)
+        # The paired least-squares fit is conjugate-symmetric up to rounding,
+        # which the conditioning of the selected columns amplifies (two
+        # sample times a hair apart on the circle give a near-singular fit).
+        cond = np.linalg.cond(a[:, res.support])
+        assert np.linalg.norm(raw.imag) <= 1e-12 * cond * np.linalg.norm(raw.real)

@@ -65,9 +65,14 @@ class TestPeriodizedSinc:
         assert out.shape == (2, 2)
         assert out[0, 0] == 1.0 and out[1, 1] == 1.0
 
-    def test_rejects_odd_or_tiny_grid(self):
-        with pytest.raises(ValueError):
-            periodized_sinc(0.5, 15)
+    def test_odd_grid_matches_brute_force_and_tiny_grid_rejected(self):
+        for theta, n in [(0.31, 5), (5.5, 13), (-0.125, 9), (100.6, 927)]:
+            assert periodized_sinc(theta, n) == pytest.approx(
+                brute_periodized_sinc(theta, n), abs=1e-6
+            )
+        for k in (-2, -1, 0, 1, 3):
+            assert periodized_sinc(k * 927.0, 927) == 1.0
+            assert periodized_sinc(k * 15.0 + 1e-10, 15) == 1.0
         with pytest.raises(ValueError):
             periodized_sinc(0.5, 0)
 
@@ -144,9 +149,14 @@ class TestBuilders:
         assert np.all(np.isfinite(m0.entries))
         assert np.max(np.abs(m0.entries)) <= 1.0 + 1e-12
 
-    def test_poisson_rejects_odd_grid(self):
-        with pytest.raises(ValueError):
-            build_poisson(np.array([0.5]), 1.0, 15)
+    def test_poisson_odd_grid(self):
+        times = np.array([0.0, 3.0, 14.0, 2.5])
+        m0 = build_poisson(times, 1.0, 15)
+        expected = np.zeros((3, 15))
+        expected[0, 0] = expected[1, 3] = expected[2, 14] = 1.0
+        assert np.max(np.abs(m0.entries[:3] - expected)) < 1e-12
+        brute = [brute_periodized_sinc(2.5 - n, 15) for n in range(15)]
+        assert np.max(np.abs(m0.entries[3] - brute)) < 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,6 +201,43 @@ class TestTruncatedAgainstSincSum:
         entries = build_truncated(times, 1.0, n, p_terms).entries
         assert np.all(np.isfinite(entries))
         assert np.max(np.abs(entries - sinc_sum(times, n, p_terms))) <= 1e-12
+
+
+def fourier_sum_kernel(theta, n):
+    """The periodized sinc as a sum over the DFT bins: (1/N) sum_k
+    exp(2 pi i k theta / N) over the symmetric bins |k| < N/2, plus the
+    Nyquist term cos(pi theta) / N when N is even. The sines cancel in
+    +-k pairs, so only the cosines are summed."""
+    half = (n - 1) // 2
+    k = np.arange(-half, half + 1)
+    phase = 2.0 * np.pi * np.multiply.outer(theta, k) / n
+    out = np.cos(phase).sum(axis=-1) / n
+    if n % 2 == 0:
+        out += np.cos(np.pi * theta) / n
+    return out
+
+
+@st.composite
+def grid_times(draw):
+    """(times, N) with unit interval, N in [2, 64] of either parity and M <= 8.
+    Times are random in [-N, 2N], on the grid, or within 1e-3 of a grid point,
+    so theta = t - n reaches the kernel's peaks at 0 and +-N from both sides."""
+    n = draw(st.integers(min_value=2, max_value=64))
+    m = draw(st.integers(min_value=1, max_value=min(8, n)))
+    hit = st.integers(-n, 2 * n).map(float)
+    near = st.tuples(hit, st.floats(-1e-3, 1e-3)).map(sum)
+    anywhere = st.floats(-float(n), 2.0 * n)
+    times = draw(st.lists(st.one_of(hit, near, anywhere), min_size=m, max_size=m))
+    return np.array(times), n
+
+
+class TestClosedFormAgainstFourierSum:
+    @given(grid_times())
+    def test_matches_bin_sum(self, case):
+        times, n = case
+        theta = times[:, None] - np.arange(n)[None, :]
+        entries = build_poisson(times, 1.0, n).entries
+        assert np.max(np.abs(entries - fourier_sum_kernel(theta, n))) <= 1e-12
 
 
 class TestAgainstTruncationOracle:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -252,29 +253,25 @@ def _cmd_recover(args) -> int:
     return EXIT_OK
 
 
+def _given(**fields) -> dict:
+    """The keyword arguments whose value was supplied (is not None)."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
 def _experiment_config(args) -> experiments.ExperimentConfig:
+    # Solver flags override the preset's OMP/TV configs field by field;
+    # without such flags omp/tv stay None and each run takes its plan's own.
+    base = experiments.resolve_plan(
+        experiments.ExperimentConfig(preset=args.preset, method=args.matrix, p_terms=args.p_terms)
+    )
+    omp_fields = _given(max_atoms=args.max_atoms, residual_tol=args.residual_tol)
     omp = None
-    if args.max_atoms is not None or args.residual_tol is not None or not args.pairing:
-        base = experiments.resolve_plan(
-            experiments.ExperimentConfig(preset=args.preset, method=args.matrix, p_terms=args.p_terms)
-        ).omp
-        omp = solvers.OmpConfig(
-            max_atoms=args.max_atoms if args.max_atoms is not None else base.max_atoms,
-            residual_tol=args.residual_tol if args.residual_tol is not None else base.residual_tol,
-            conjugate_pairing=args.pairing,
-        )
-    tv = None
-    if any(v is not None for v in (args.tv_step, args.tv_lambda, args.tv_epsilon, args.tv_iters)):
-        base = experiments.resolve_plan(
-            experiments.ExperimentConfig(preset=args.preset, method=args.matrix, p_terms=args.p_terms)
-        ).tv
-        tv = solvers.TvConfig(
-            step_size=args.tv_step if args.tv_step is not None else base.step_size,
-            lam=args.tv_lambda if args.tv_lambda is not None else base.lam,
-            epsilon=args.tv_epsilon if args.tv_epsilon is not None else base.epsilon,
-            max_iters=args.tv_iters if args.tv_iters is not None else base.max_iters,
-            grad_tol=base.grad_tol,
-        )
+    if omp_fields or not args.pairing:
+        omp = replace(base.omp, conjugate_pairing=args.pairing, **omp_fields)
+    tv_fields = _given(
+        step_size=args.tv_step, lam=args.tv_lambda, epsilon=args.tv_epsilon, max_iters=args.tv_iters
+    )
+    tv = replace(base.tv, **tv_fields) if tv_fields else None
     return experiments.ExperimentConfig(
         preset=args.preset,
         method=args.matrix,

@@ -9,13 +9,16 @@ Two solvers:
 * :func:`tv_recover` -- gradient descent on a smoothed total-variation
   objective, for signals whose variation rather than spectrum is sparse:
   J(x) = 0.5 ||M0 x - y||^2 + lam * sum_n sqrt((x[n+1]-x[n])^2 + eps^2)
-  with circular differences.
+  with circular differences. The residual and differences computed to
+  evaluate J at an accepted step are reused for the next gradient, so a step
+  costs one M0 and one M0^T product plus O(N) in-place passes.
 
 Both are single-threaded and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,19 +175,42 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     )
 
 
+def _circular_diff(x, out=None) -> np.ndarray:
+    """D x with (D x)[n] = x[n+1] - x[n], n mod N, taken by slicing (no roll)."""
+    if out is None:
+        out = np.empty_like(x)
+    np.subtract(x[1:], x[:-1], out=out[:-1])
+    out[-1] = x[0] - x[-1]
+    return out
+
+
+def _circular_diff_adjoint(w, out=None) -> np.ndarray:
+    """D^T w with (D^T w)[n] = w[n-1] - w[n], n mod N."""
+    if out is None:
+        out = np.empty_like(w)
+    np.subtract(w[:-1], w[1:], out=out[1:])
+    out[0] = w[-1] - w[0]
+    return out
+
+
+def _smoothed_magnitude(d, epsilon: float, out=None) -> np.ndarray:
+    """sqrt(d^2 + epsilon^2), elementwise."""
+    out = np.multiply(d, d, out=out)
+    out += epsilon * epsilon
+    return np.sqrt(out, out=out)
+
+
 def total_variation(x, epsilon: float) -> float:
     """Smoothed circular TV: sum_n sqrt((x[n+1]-x[n])^2 + epsilon^2), n mod N."""
-    x = np.asarray(x, dtype=float)
-    d = np.roll(x, -1) - x
-    return float(np.sum(np.sqrt(d * d + epsilon * epsilon)))
+    d = _circular_diff(np.asarray(x, dtype=float))
+    return float(np.sum(_smoothed_magnitude(d, epsilon)))
 
 
 def tv_gradient(x, epsilon: float) -> np.ndarray:
-    """Analytic gradient of :func:`total_variation`."""
-    x = np.asarray(x, dtype=float)
-    d = np.roll(x, -1) - x
-    w = d / np.sqrt(d * d + epsilon * epsilon)
-    return np.roll(w, 1) - w
+    """Analytic gradient of :func:`total_variation`: D^T (d / s) with d = D x
+    and s = sqrt(d^2 + epsilon^2)."""
+    d = _circular_diff(np.asarray(x, dtype=float))
+    return _circular_diff_adjoint(d / _smoothed_magnitude(d, epsilon))
 
 
 def operator_norm_sq(entries, iters: int = 20) -> float:
@@ -209,6 +235,15 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     proposal would increase the objective; ten consecutive failed halvings
     raise NonConvergenceError. Stops at cfg.max_iters accepted steps or when
     ||grad J|| <= cfg.grad_tol.
+
+    Evaluating J at a candidate yields its residual r = M0 x - y, its
+    circular differences d = D x and s = sqrt(d^2 + eps^2); once the
+    candidate is accepted these give the next gradient M0^T r + lam D^T (d/s)
+    without recomputation. An accepted step therefore costs one M0 product
+    (for J) and one M0^T product (for the gradient) plus O(N) in-place passes
+    into buffers allocated once per solve; each step halving adds one M0
+    product. The floating-point operations are those of evaluating J and its
+    gradient afresh at every iterate, so the iterates are those of that loop.
     """
     a = np.asarray(getattr(m0, "entries", m0), dtype=float)
     y = np.asarray(y, dtype=float)
@@ -221,35 +256,54 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
 
     lam = cfg.lam if cfg.lam is not None else 1e-2 * float(np.linalg.norm(y))
     step = cfg.step_size / operator_norm_sq(a)
+    eps = cfg.epsilon
 
-    def objective(z):
-        r = a @ z - y
-        return 0.5 * float(r @ r) + lam * total_variation(z, cfg.epsilon)
+    def objective(r, s):
+        return 0.5 * float(r @ r) + lam * float(s.sum())
 
-    current = objective(x)
+    # State of the current iterate x; the candidate's goes into the *_c
+    # buffers and the two sets swap on acceptance.
+    r = np.subtract(a @ x, y)
+    d = _circular_diff(x)
+    s = _smoothed_magnitude(d, eps)
+    x_c, r_c, d_c, s_c = (np.empty_like(v) for v in (x, r, d, s))
+    grad, w, tv_grad = np.empty(n), np.empty(n), np.empty(n)
+
+    current = objective(r, s)
     history = [current]
     iterations = 0
     for _ in range(cfg.max_iters):
-        grad = a.T @ (a @ x - y) + lam * tv_gradient(x, cfg.epsilon)
-        if np.linalg.norm(grad) <= cfg.grad_tol:
+        np.matmul(a.T, r, out=grad)
+        _circular_diff_adjoint(np.divide(d, s, out=w), out=tv_grad)
+        tv_grad *= lam
+        grad += tv_grad
+        if math.sqrt(grad @ grad) <= cfg.grad_tol:
             break
         halvings = 0
         while True:
-            candidate = x - step * grad
-            value = objective(candidate)
+            np.multiply(grad, step, out=x_c)
+            np.subtract(x, x_c, out=x_c)
+            np.matmul(a, x_c, out=r_c)
+            r_c -= y
+            _smoothed_magnitude(_circular_diff(x_c, out=d_c), eps, out=s_c)
+            value = objective(r_c, s_c)
             if value <= current:
                 break
             halvings += 1
             if halvings >= 10:
                 raise NonConvergenceError(len(history))
             step *= 0.5
-        x, current = candidate, value
+        x, x_c = x_c, x
+        r, r_c = r_c, r
+        d, d_c = d_c, d
+        s, s_c = s_c, s
+        current = value
         iterations += 1
         history.append(current)
 
     return RecoveryResult(
         recovered=x,
         iterations=iterations,
-        final_residual=float(np.linalg.norm(a @ x - y)),
+        final_residual=float(np.linalg.norm(r)),
         objective_history=np.asarray(history),
     )

@@ -248,3 +248,38 @@ class TestOutDirEnv:
         )
         assert proc.returncode == 0, proc.stderr
         assert target.exists()
+
+
+class TestExperimentConfig:
+    """Solver flags override the preset's configs field by field."""
+
+    def config(self, *argv):
+        from randsamp.cli import _experiment_config, build_parser
+
+        return _experiment_config(build_parser().parse_args(["experiment", *argv]))
+
+    def test_no_solver_flags_leave_configs_to_the_plan(self):
+        cfg = self.config("--preset", "square")
+        assert cfg.omp is None and cfg.tv is None
+
+    def test_tv_flag_keeps_other_preset_fields(self):
+        from dataclasses import replace
+
+        from randsamp.experiments import SQUARE_TV
+
+        cfg = self.config("--preset", "square", "--tv-lambda", "0.5", "--tv-iters", "30")
+        assert cfg.tv == replace(SQUARE_TV, lam=0.5, max_iters=30)
+        assert cfg.omp is None
+
+    def test_omp_flags_keep_other_preset_fields(self):
+        from randsamp.experiments import GAUSPULS_OMP, TRIG_OMP
+        from randsamp.solvers import OmpConfig
+
+        assert self.config("--preset", "trig", "--max-atoms", "8").omp == OmpConfig(
+            max_atoms=8, residual_tol=TRIG_OMP.residual_tol, conjugate_pairing=True
+        )
+        cfg = self.config("--preset", "gauspuls", "--no-pairing")
+        assert cfg.omp == OmpConfig(
+            max_atoms=GAUSPULS_OMP.max_atoms, residual_tol=GAUSPULS_OMP.residual_tol, conjugate_pairing=False
+        )
+        assert cfg.tv is None

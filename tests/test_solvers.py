@@ -212,3 +212,122 @@ class TestTvRecover:
             TvConfig(lam=-1.0)
         with pytest.raises(ValueError):
             TvConfig(max_iters=0)
+
+
+def rolled_tv(x, eps):
+    d = np.roll(x, -1) - x
+    return float(np.sum(np.sqrt(d * d + eps * eps)))
+
+
+def rolled_tv_gradient(x, eps):
+    d = np.roll(x, -1) - x
+    w = d / np.sqrt(d * d + eps * eps)
+    return np.roll(w, 1) - w
+
+
+def plain_tv_descent(a, y, cfg, x_init=None):
+    """Reference loop: J and grad J evaluated afresh at every iterate, with
+    np.roll differences. Returns (x, accepted steps, J history, halvings)."""
+    x = a.T @ y if x_init is None else np.array(x_init, dtype=float)
+    lam = cfg.lam if cfg.lam is not None else 1e-2 * float(np.linalg.norm(y))
+    step = cfg.step_size / operator_norm_sq(a)
+
+    def objective(z):
+        r = a @ z - y
+        return 0.5 * float(r @ r) + lam * rolled_tv(z, cfg.epsilon)
+
+    current = objective(x)
+    history = [current]
+    total_halvings = 0
+    for _ in range(cfg.max_iters):
+        grad = a.T @ (a @ x - y) + lam * rolled_tv_gradient(x, cfg.epsilon)
+        if np.linalg.norm(grad) <= cfg.grad_tol:
+            break
+        halvings = 0
+        while True:
+            candidate = x - step * grad
+            value = objective(candidate)
+            if value <= current:
+                break
+            halvings += 1
+            if halvings >= 10:
+                raise NonConvergenceError(len(history))
+            step *= 0.5
+        total_halvings += halvings
+        x, current = candidate, value
+        history.append(current)
+    return x, len(history) - 1, np.asarray(history), total_halvings
+
+
+def random_tv_problem(m, n, seed):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, float(n), size=m))
+    m0 = build_poisson(times, 1.0, n)
+    y = np.sign(np.sin(2.0 * np.pi * times / n)) + 0.1 * rng.standard_normal(m)
+    return m0, y
+
+
+class TestTvRecoverOracle:
+    @pytest.mark.parametrize(
+        "m, n, seed, cfg, x_init, must_halve",
+        [
+            (12, 32, 40, TvConfig(step_size=1.0, lam=0.3, epsilon=1e-2, max_iters=400), None, False),
+            (7, 17, 41, TvConfig(step_size=1.0, lam=None, max_iters=400), None, False),
+            (16, 48, 42, TvConfig(step_size=40.0, lam=0.1, epsilon=1e-2, max_iters=300), None, True),
+            (16, 47, 43, TvConfig(step_size=25.0, lam=None, max_iters=300), "zeros", True),
+            (9, 24, 44, TvConfig(step_size=1e-2, lam=0.05, max_iters=200), "zeros", False),
+        ],
+    )
+    def test_matches_plain_gradient_descent(self, m, n, seed, cfg, x_init, must_halve):
+        m0, y = random_tv_problem(m, n, seed)
+        start = np.zeros(n) if x_init == "zeros" else None
+        x_ref, iters_ref, hist_ref, halvings = plain_tv_descent(m0.entries, y, cfg, start)
+        assert halvings > 0 or not must_halve
+        res = tv_recover(m0, y, cfg, x_init=start)
+        assert res.iterations == iters_ref
+        assert len(res.objective_history) == len(hist_ref)
+        assert np.linalg.norm(res.recovered - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert np.all(np.abs(res.objective_history - hist_ref) <= 1e-12 * np.abs(hist_ref))
+
+    def test_divergence_raises_at_the_same_point(self):
+        m0, y = random_tv_problem(8, 20, 45)
+        cfg = TvConfig(step_size=1e12, max_iters=50)
+        with pytest.raises(NonConvergenceError) as ref:
+            plain_tv_descent(m0.entries, y, cfg)
+        with pytest.raises(NonConvergenceError) as got:
+            tv_recover(m0, y, cfg)
+        assert got.value.history_length == ref.value.history_length
+
+
+class TestTvRecoverState:
+    def test_gradient_tolerance_stops_at_exact_minimizer(self):
+        m0, _ = random_tv_problem(10, 30, 46)
+        c = np.full(30, 0.4)
+        y = m0.entries @ c
+        res = tv_recover(m0, y, TvConfig(max_iters=100), x_init=c)
+        assert res.iterations == 0
+        assert len(res.objective_history) == 1
+        assert np.array_equal(res.recovered, c)
+
+    def test_history_ends_are_the_public_objective(self):
+        m0, y = random_tv_problem(14, 36, 47)
+        cfg = TvConfig(step_size=1.0, lam=0.2, epsilon=1e-2, max_iters=150)
+        x_init = np.random.default_rng(48).standard_normal(36)
+        res = tv_recover(m0, y, cfg, x_init=x_init)
+
+        def objective(x):
+            r = m0.entries @ x - y
+            return 0.5 * float(r @ r) + cfg.lam * total_variation(x, cfg.epsilon)
+
+        assert res.iterations == 150
+        assert res.objective_history[0] == pytest.approx(objective(x_init), rel=1e-12)
+        assert res.objective_history[-1] == pytest.approx(objective(res.recovered), rel=1e-12)
+        assert res.final_residual == pytest.approx(np.linalg.norm(m0.entries @ res.recovered - y), rel=1e-12)
+
+    def test_caller_x_init_not_modified(self):
+        m0, y = random_tv_problem(10, 25, 49)
+        x_init = np.linspace(-1.0, 1.0, 25)
+        kept = x_init.copy()
+        res = tv_recover(m0, y, TvConfig(step_size=1.0, max_iters=50), x_init=x_init)
+        assert np.array_equal(x_init, kept)
+        assert res.recovered is not x_init

@@ -19,8 +19,6 @@ from .experiments import (
     resolve_plan,
     run_experiment,
     sweep_truncation,
-    write_report,
-    write_sweep,
 )
 from .fourier import dft_adjoint, dft_forward, dft_matrix, sensing_matrix
 from .obs_matrix import (
@@ -99,6 +97,4 @@ __all__ = [
     "tv_gradient",
     "tv_recover",
     "uniform_samples",
-    "write_report",
-    "write_sweep",
 ]

@@ -10,6 +10,7 @@ RANDSAMP_OUT_DIR is set, relative ``--out`` paths are placed inside it.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import replace
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, obs_matrix, signals, solvers
+from .experiments import _fmt
 from .fourier import sensing_matrix
 
 EXIT_OK = 0
@@ -91,10 +93,6 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _make_signal(args) -> signals.ContinuousSignal:
     if args.signal == "trig":
         return signals.TrigSignal()
@@ -152,8 +150,6 @@ def _cmd_generate(args) -> int:
     if args.format == "csv":
         text = _series_csv("time,value", (grid.times, grid.values))
     else:
-        import json
-
         text = json.dumps(
             {"interval": interval, "origin": t0, "values": list(map(float, grid.values))},
             indent=2,
@@ -171,8 +167,6 @@ def _cmd_sample(args) -> int:
     if args.format == "csv":
         text = _series_csv("time,value", (sample.times, sample.values))
     else:
-        import json
-
         text = json.dumps(
             {
                 "seed": args.seed,
@@ -237,8 +231,6 @@ def _cmd_recover(args) -> int:
     if args.format == "csv":
         text = _series_csv("index,value", (np.arange(len(result.recovered)), result.recovered))
     else:
-        import json
-
         text = json.dumps(
             {
                 "values": list(map(float, result.recovered)),

@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -98,8 +98,6 @@ class ExperimentConfig:
     sample_rate: float | None = None
     omp: OmpConfig | None = None
     tv: TvConfig | None = None
-    out_path: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         if self.preset not in PRESETS:
@@ -114,8 +112,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
 
 
 # Solver settings used by the presets. The trig stopping rule covers the
@@ -216,11 +212,10 @@ def _mean_over(records, key) -> float:
 
 @dataclass
 class ExperimentReport:
-    """Per-run records plus aggregates for one experiment configuration.
+    """Per-run records of one experiment configuration, with their aggregates.
 
-    Aggregates are arithmetic means over the successful runs; failed runs are
-    counted in n_failed but excluded from the means. Consistency between the
-    records and the aggregate fields is re-checked on construction.
+    The aggregates are computed from the records: means over the successful
+    runs, while failed runs are counted in n_failed and left out of the means.
     """
 
     preset: str
@@ -230,72 +225,22 @@ class ExperimentReport:
     n_grid: int
     master_seed: int
     records: list[RunRecord] = field(default_factory=list)
-    mean_error: float = float("nan")
-    mean_build_time_s: float = float("nan")
-    mean_solve_time_s: float = float("nan")
-    n_failed: int = 0
 
-    def __post_init__(self):
-        if not self.records:
-            raise ValueError("a report needs at least one run record")
-        checks = (
-            (self.mean_error, _mean_over(self.records, lambda r: r.error)),
-            (self.mean_build_time_s, _mean_over(self.records, lambda r: r.build_time_s)),
-            (self.mean_solve_time_s, _mean_over(self.records, lambda r: r.solve_time_s)),
-        )
-        for got, expect in checks:
-            if not (got == expect or (math.isnan(got) and math.isnan(expect))):
-                raise ValueError("aggregate fields do not match the per-run records")
-        if self.n_failed != sum(1 for r in self.records if math.isnan(r.error)):
-            raise ValueError("n_failed does not match the per-run records")
+    @property
+    def mean_error(self) -> float:
+        return _mean_over(self.records, lambda r: r.error)
 
-    @classmethod
-    def from_records(cls, cfg: ExperimentConfig, plan: ResolvedPlan, records) -> "ExperimentReport":
-        records = sorted(records, key=lambda r: r.run_id)
-        return cls(
-            preset=cfg.preset,
-            method=cfg.method,
-            # only the truncated build uses P; the other methods ignore it
-            p_terms=cfg.p_terms if cfg.method == "truncated" else None,
-            m_samples=plan.m_samples,
-            n_grid=plan.n_grid,
-            master_seed=cfg.master_seed,
-            records=records,
-            mean_error=_mean_over(records, lambda r: r.error),
-            mean_build_time_s=_mean_over(records, lambda r: r.build_time_s),
-            mean_solve_time_s=_mean_over(records, lambda r: r.solve_time_s),
-            n_failed=sum(1 for r in records if math.isnan(r.error)),
-        )
+    @property
+    def mean_build_time_s(self) -> float:
+        return _mean_over(self.records, lambda r: r.build_time_s)
 
+    @property
+    def mean_solve_time_s(self) -> float:
+        return _mean_over(self.records, lambda r: r.solve_time_s)
 
-def _recover(plan: ResolvedPlan, m0: ObservationMatrix, values):
-    if plan.solver == "omp":
-        return omp_recover(sensing_matrix(m0), values, plan.omp)
-    x_init = None
-    if plan.tv_init == "spectral":
-        x_init = omp_recover(sensing_matrix(m0), values, plan.omp).recovered
-    return tv_recover(m0, values, plan.tv, x_init=x_init)
-
-
-def _single_run(run_id: int, cfg: ExperimentConfig, plan: ResolvedPlan, reference) -> RunRecord:
-    seed = derive_run_seed(cfg.master_seed, run_id)
-    times = draw_random_times(plan.m_samples, plan.duration, plan.t0, seed)
-    samples = sample_at(plan.signal, times, duration=plan.duration, seed=seed)
-
-    tic = time.perf_counter()
-    # The matrix kernel places grid point n at time n*interval, so sample
-    # times are passed relative to the grid origin.
-    m0 = build(cfg.method, times - plan.t0, plan.interval, plan.n_grid, cfg.p_terms)
-    build_time = time.perf_counter() - tic
-
-    tic = time.perf_counter()
-    try:
-        result = _recover(plan, m0, samples.values)
-        error = relative_l2_error(result.recovered, reference.values)
-    except (NonConvergenceError, SingularSystemError):
-        error = float("nan")
-    solve_time = time.perf_counter() - tic
-    return RunRecord(run_id, seed, error, build_time, solve_time)
+    @property
+    def n_failed(self) -> int:
+        return sum(1 for r in self.records if math.isnan(r.error))
 
 
 @dataclass
@@ -312,6 +257,44 @@ class Reconstruction:
     error: float
 
 
+def _run(
+    cfg: ExperimentConfig, plan: ResolvedPlan, reference, run_id: int
+) -> Iterator[RunRecord | Reconstruction]:
+    """Draw, sample, build and recover one run, in two steps.
+
+    The generator first yields the run's RunRecord; when the solver failed,
+    its error is NaN and its times are those measured up to the failure.
+    Resumed, it re-raises that NonConvergenceError or SingularSystemError,
+    or yields the run's Reconstruction. Taking only the record leaves no
+    reconstruction built and no matrix kept.
+    """
+    seed = derive_run_seed(cfg.master_seed, run_id)
+    times = draw_random_times(plan.m_samples, plan.duration, plan.t0, seed)
+    samples = sample_at(plan.signal, times, duration=plan.duration, seed=seed)
+
+    tic = time.perf_counter()
+    # The matrix kernel places grid point n at time n*interval, so sample
+    # times are passed relative to the grid origin.
+    m0 = build(cfg.method, times - plan.t0, plan.interval, plan.n_grid, cfg.p_terms)
+    build_time = time.perf_counter() - tic
+
+    tic = time.perf_counter()
+    try:
+        if plan.solver == "omp":
+            result = omp_recover(sensing_matrix(m0), samples.values, plan.omp)
+        else:
+            x_init = None
+            if plan.tv_init == "spectral":
+                x_init = omp_recover(sensing_matrix(m0), samples.values, plan.omp).recovered
+            result = tv_recover(m0, samples.values, plan.tv, x_init=x_init)
+        error = relative_l2_error(result.recovered, reference.values)
+    except (NonConvergenceError, SingularSystemError):
+        yield RunRecord(run_id, seed, float("nan"), build_time, time.perf_counter() - tic)
+        raise
+    yield RunRecord(run_id, seed, error, build_time, time.perf_counter() - tic)
+    yield Reconstruction(run_id, seed, times, samples.values, m0, result, reference, error)
+
+
 def reconstruct_once(cfg: ExperimentConfig, run_id: int = 0) -> Reconstruction:
     """Materialize a single run of an experiment (the figure-style view).
 
@@ -319,38 +302,38 @@ def reconstruct_once(cfg: ExperimentConfig, run_id: int = 0) -> Reconstruction:
     """
     plan = resolve_plan(cfg)
     reference = uniform_samples(plan.signal, plan.n_grid, plan.interval, plan.t0)
-    seed = derive_run_seed(cfg.master_seed, run_id)
-    times = draw_random_times(plan.m_samples, plan.duration, plan.t0, seed)
-    samples = sample_at(plan.signal, times, duration=plan.duration, seed=seed)
-    m0 = build(cfg.method, times - plan.t0, plan.interval, plan.n_grid, cfg.p_terms)
-    result = _recover(plan, m0, samples.values)
-    return Reconstruction(
-        run_id=run_id,
-        seed=seed,
-        times=times,
-        measurements=samples.values,
-        matrix=m0,
-        result=result,
-        reference=reference,
-        error=relative_l2_error(result.recovered, reference.values),
-    )
+    _, reconstruction = _run(cfg, plan, reference, run_id)
+    return reconstruction
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run cfg.runs seeded repetitions and aggregate them.
 
     jobs > 1 executes runs in a thread pool; results are identical to the
-    sequential order because every run derives its own seed.
+    sequential order because every run derives its own seed. A run whose
+    solver fails is recorded with error NaN.
     """
     plan = resolve_plan(cfg)
     reference = uniform_samples(plan.signal, plan.n_grid, plan.interval, plan.t0)
-    run_one = partial(_single_run, cfg=cfg, plan=plan, reference=reference)
+
+    def run_record(run_id: int) -> RunRecord:
+        return next(_run(cfg, plan, reference, run_id))
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_one, range(cfg.runs)))
+            records = list(pool.map(run_record, range(cfg.runs)))
     else:
-        records = [run_one(i) for i in range(cfg.runs)]
-    return ExperimentReport.from_records(cfg, plan, records)
+        records = [run_record(i) for i in range(cfg.runs)]
+    return ExperimentReport(
+        preset=cfg.preset,
+        method=cfg.method,
+        # only the truncated build uses P; the other methods ignore it
+        p_terms=cfg.p_terms if cfg.method == "truncated" else None,
+        m_samples=plan.m_samples,
+        n_grid=plan.n_grid,
+        master_seed=cfg.master_seed,
+        records=records,
+    )
 
 
 def sweep_truncation(cfg: ExperimentConfig, p_list, jobs: int = 1):
@@ -412,7 +395,7 @@ def report_csv(report: ExperimentReport, include_timings: bool = False) -> str:
 
 
 def report_json(report: ExperimentReport, include_timings: bool = False) -> str:
-    """JSON variant of the CSV schema, with aggregates; NaN errors become null."""
+    """JSON variant of the CSV schema, with aggregates; NaN values become null."""
 
     def _clean(value):
         return None if math.isnan(value) else value
@@ -436,18 +419,12 @@ def report_json(report: ExperimentReport, include_timings: bool = False) -> str:
         ],
         "aggregates": {
             "mean_error": _clean(report.mean_error),
-            "mean_build_time_s": report.mean_build_time_s if include_timings else None,
-            "mean_solve_time_s": report.mean_solve_time_s if include_timings else None,
+            "mean_build_time_s": _clean(report.mean_build_time_s) if include_timings else None,
+            "mean_solve_time_s": _clean(report.mean_solve_time_s) if include_timings else None,
             "n_failed": report.n_failed,
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def write_report(report: ExperimentReport, path, fmt: str = "csv", include_timings: bool = False) -> None:
-    text = report_csv(report, include_timings) if fmt == "csv" else report_json(report, include_timings)
-    with open(path, "w") as fh:
-        fh.write(text)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def sweep_csv(rows, include_timings: bool = True) -> str:
@@ -467,8 +444,3 @@ def sweep_csv(rows, include_timings: bool = True) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_sweep(rows, path, include_timings: bool = True) -> None:
-    with open(path, "w") as fh:
-        fh.write(sweep_csv(rows, include_timings))

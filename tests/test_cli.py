@@ -72,6 +72,24 @@ class TestExperimentCommand:
         assert proc.returncode == 2
         assert "failed" in proc.stderr
 
+    def test_all_failed_json_with_timings_is_valid(self, run_cli):
+        proc = run_cli(
+            "experiment", "--preset", "square", "--runs", "2",
+            "--m", "8", "--n", "16", "--rate", "16",
+            "--tv-step", "1e12", "--tv-iters", "50", "--format", "json", "--timings",
+        )
+        assert proc.returncode == 2
+
+        def reject(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        doc = json.loads(proc.stdout, parse_constant=reject)
+        aggregates = doc["aggregates"]
+        assert aggregates["mean_error"] is None
+        assert aggregates["mean_build_time_s"] is None
+        assert aggregates["mean_solve_time_s"] is None
+        assert aggregates["n_failed"] == 2
+
     def test_solver_override_flags(self, run_cli, tmp_path):
         out = tmp_path / "r.csv"
         proc = run_cli(

@@ -20,7 +20,7 @@ from .experiments import (
     run_experiment,
     sweep_truncation,
 )
-from .fourier import dft_adjoint, dft_forward, dft_matrix, sensing_matrix
+from .fourier import dft_adjoint, dft_forward, sensing_matrix
 from .obs_matrix import (
     ObservationMatrix,
     build,
@@ -80,7 +80,6 @@ __all__ = [
     "derive_run_seed",
     "dft_adjoint",
     "dft_forward",
-    "dft_matrix",
     "draw_random_times",
     "load_matrix_csv",
     "omp_recover",

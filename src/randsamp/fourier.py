@@ -6,29 +6,12 @@ negative frequencies stored at index N-k. This is ``np.fft.fft`` with
 ``norm="ortho"``; the adjoint is ``np.fft.ifft`` with the same norm and is the
 exact inverse, so forward/adjoint round trips are the identity to machine
 precision and Parseval holds without scale factors. Both cost O(N log N) and
-no N x N matrix is formed; :func:`dft_matrix` is kept as the explicit
-reference that tests compare the transforms against.
+no N x N matrix is formed.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-
-
-@lru_cache(maxsize=8)
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n x n DFT matrix. Cached per size; the array is read-only."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    k = np.arange(n)
-    # Reduce k*n mod n before exponentiating; keeps phases in [0, 2 pi) so the
-    # matrix is unitary to ~1e-15 even for large n.
-    phase = np.mod(np.outer(k, k), n)
-    mat = np.exp((-2j * np.pi / n) * phase) / np.sqrt(n)
-    mat.setflags(write=False)
-    return mat
 
 
 def dft_forward(x) -> np.ndarray:
@@ -47,6 +30,16 @@ def sensing_matrix(m0) -> np.ndarray:
     Column j of the result is the observation matrix applied to the j-th
     inverse-transform basis vector, so (result @ dft_forward(x)) equals
     (m0.entries @ x) for any x. Since the adjoint DFT matrix is symmetric,
-    this is the inverse transform of each row of M0.
+    this is the inverse transform of each row of M0. M0 is real, so that
+    transform is taken by ``np.fft.rfft``: columns 0..N//2 are the conjugate
+    of the half spectrum, and column j > N//2 is the conjugate of column
+    N - j, that is the unconjugated half spectrum read in reverse.
     """
-    return np.fft.ifft(m0.entries, axis=1, norm="ortho")
+    entries = m0.entries
+    n = entries.shape[1]
+    half = np.fft.rfft(entries, axis=1, norm="ortho")
+    h = half.shape[1]
+    out = np.empty(entries.shape, dtype=complex)
+    np.conjugate(half, out=out[:, :h])
+    out[:, h:] = half[:, n - h : 0 : -1]
+    return out

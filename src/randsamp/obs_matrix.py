@@ -17,8 +17,14 @@ does not start at zero).
                    P cheap reciprocal passes.
 * ``poisson``   -- the exact periodization in closed form: the Dirichlet
                    kernel sin(pi theta) / (N tan(pi theta / N)) for even N,
-                   sin(pi theta) / (N sin(pi theta / N)) for odd N,
-                   evaluated once per entry with no inner summation.
+                   sin(pi theta) / (N sin(pi theta / N)) for odd N, with no
+                   inner summation. It is separable in (m, n): the numerator
+                   sine is a row factor times the column sign (-1)^n, and
+                   sin(pi theta / N) and cos(pi theta / N) follow by angle
+                   subtraction from row and column tables. A build takes
+                   M + N transcendentals plus a few elementwise M x N passes,
+                   and overwrites one near-singular entry per row with
+                   :func:`periodized_sinc`.
 """
 
 from __future__ import annotations
@@ -89,14 +95,21 @@ def periodized_sinc(theta, n_grid: int):
     return float(out) if np.ndim(theta) == 0 else out
 
 
-def _kernel_args(times, interval: float, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_args(times, interval: float, n_grid: int) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a nonempty 1-D array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if interval <= 0:
         raise ValueError("interval must be positive")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
+    return times
+
+
+def _kernel_args(times, interval: float, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    times = _check_args(times, interval, n_grid)
     theta = times[:, None] / interval - np.arange(n_grid)[None, :]
     return times, theta
 
@@ -149,9 +162,43 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
 
 
 def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
-    """Exact periodized sinc matrix via the closed-form kernel, for either parity of n_grid."""
-    times, theta = _kernel_args(times, interval, n_grid)
-    return ObservationMatrix(periodized_sinc(theta, n_grid), "poisson", times, interval, n_grid)
+    """Exact periodized sinc matrix via the closed-form kernel, for either parity of n_grid.
+
+    With u_m = t_m / T = k_m + f_m, k_m = round(u_m) and |f_m| <= 1/2 (both
+    exact), the numerator is sin(pi theta) = (-1)^(k_m - n) sin(pi f_m), and
+    angle subtraction gives
+    sin(pi theta / N) = sin(pi u_m / N) cos(pi n / N) - cos(pi u_m / N) sin(pi n / N)
+    (and cos(pi theta / N), which even N also needs, likewise). So a build
+    evaluates M + N sines and cosines, and its M x N work is one pass per
+    angle-subtraction formula plus a divide. In each row only column
+    k_m mod N has theta within 1/2 of a multiple of N; that one entry is
+    overwritten with periodized_sinc(f_m, N), which owns the singular limit.
+    Every other entry has |sin(pi theta / N)| >= sin(pi / 2N), so the
+    ~1e-16 absolute error of the subtraction stays below ~N * 1e-16.
+    """
+    times = _check_args(times, interval, n_grid)
+    u = times / interval
+    k = np.round(u)
+    f = u - k
+    row = np.sin(np.pi * f) / n_grid
+    row[k % 2 != 0] *= -1.0
+    col = np.arange(n_grid)
+    su, cu = np.sin(np.pi / n_grid * u), np.cos(np.pi / n_grid * u)
+    cos_sin_n = np.stack([np.cos(np.pi / n_grid * col), np.sin(np.pi / n_grid * col)])
+    # Each M x N product below is one einsum pass over a two-term sum of
+    # row x column products: elementwise, so no BLAS threads wake, and with
+    # no M x N array per term. The column sign rides on the denominator,
+    # which is (-1)^n sin(pi theta / N).
+    entries = np.einsum("ki,kj->ij", np.stack([su, -cu]), cos_sin_n * (1.0 - 2.0 * (col % 2)))
+    # On-grid rows give 0/0 at their overwritten entry.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n_grid % 2:
+            np.divide(row[:, None], entries, out=entries)
+        else:
+            numerator = np.einsum("ki,kj->ij", np.stack([cu, su]) * row, cos_sin_n)
+            np.divide(numerator, entries, out=entries)
+    entries[np.arange(len(u)), (k % n_grid).astype(int)] = periodized_sinc(f, n_grid)
+    return ObservationMatrix(entries, "poisson", times, interval, n_grid)
 
 
 def build(method: str, times, interval: float, n_grid: int, p_terms: int | None = None) -> ObservationMatrix:

@@ -142,6 +142,19 @@ class TestBuilders:
         expected[0, 0] = expected[1, 3] = expected[2, 7] = 1.0
         assert np.max(np.abs(m0.entries - expected)) < 1e-12
 
+    def test_poisson_grid_hits_are_exact_unit_vectors_without_runtime_warning(self):
+        # Each row's numerator sine is exactly 0 off its one overwritten
+        # entry, and that entry's 0/0 is overwritten with the limit 1.
+        for n in (8, 9):
+            times = np.array([0.0, 3.0, 7.0, -n, n, 2 * n - 1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                m0 = build_poisson(times, 1.0, n)
+            expected = np.zeros((6, n))
+            expected[0, 0] = expected[1, 3] = expected[2, 7] = expected[3, 0] = 1.0
+            expected[4, 0] = expected[5, n - 1] = 1.0
+            assert np.array_equal(m0.entries, expected)
+
     def test_poisson_entries_bounded(self):
         rng = np.random.default_rng(0)
         times = np.sort(rng.uniform(0.0, 256.0 / 800.0, size=64))
@@ -163,6 +176,9 @@ class TestBuilders:
             build_naive(np.array([]), 1.0, 8)
         with pytest.raises(ValueError):
             build_naive(np.array([0.5]), 0.0, 8)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build_poisson(np.array([0.5, bad]), 1.0, 8)
         with pytest.raises(ValueError):
             ObservationMatrix(np.zeros((2, 8)), "bogus", np.zeros(2), 1.0, 8)
 
@@ -238,6 +254,33 @@ class TestClosedFormAgainstFourierSum:
         theta = times[:, None] - np.arange(n)[None, :]
         entries = build_poisson(times, 1.0, n).entries
         assert np.max(np.abs(entries - fourier_sum_kernel(theta, n))) <= 1e-12
+
+
+@st.composite
+def kernel_cases(draw):
+    """(times, interval, N), N in [2, 64] of either parity and M <= 8. In
+    grid units u = t / T the times span [-2N, 2N] and include exact grid hits,
+    hits +-1e-9, ties |u - round(u)| = 1/2 and u = N."""
+    n = draw(st.integers(min_value=2, max_value=64))
+    m = draw(st.integers(min_value=1, max_value=min(8, n)))
+    hit = st.integers(-2 * n, 2 * n).map(float)
+    near = st.tuples(hit, st.sampled_from([-1e-9, 1e-9])).map(sum)
+    tie = hit.map(lambda h: h + 0.5)
+    anywhere = st.floats(-2.0 * n, 2.0 * n)
+    u = draw(st.lists(st.one_of(hit, near, tie, st.just(float(n)), anywhere), min_size=m, max_size=m))
+    interval = draw(st.sampled_from([1.0, 1.0 / 800.0]))
+    return np.array(u) * interval, interval, n
+
+
+class TestClosedFormAgainstKernel:
+    @given(kernel_cases())
+    def test_matches_periodized_sinc(self, case):
+        times, interval, n = case
+        theta = times[:, None] / interval - np.arange(n)[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            entries = build_poisson(times, interval, n).entries
+        assert np.max(np.abs(entries - periodized_sinc(theta, n))) <= 1e-12
 
 
 class TestAgainstTruncationOracle:

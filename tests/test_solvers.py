@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from randsamp.fourier import dft_adjoint, dft_matrix, sensing_matrix
+from dft_reference import dft_matrix
+from randsamp.fourier import dft_adjoint, sensing_matrix
 from randsamp.obs_matrix import build_poisson
 from randsamp.signals import TrigSignal, draw_random_times, uniform_samples
 from randsamp.solvers import (

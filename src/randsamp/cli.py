@@ -208,23 +208,12 @@ def _cmd_build_matrix(args) -> int:
 def _cmd_recover(args) -> int:
     matrix = obs_matrix.load_matrix_csv(args.matrix)
     y = _read_column(args.measurements, "value")
+    omp_fields, tv_fields = _solver_fields(args)
     try:
         if args.solver == "omp":
-            cfg = solvers.OmpConfig(
-                max_atoms=args.max_atoms,
-                residual_tol=args.residual_tol,
-                conjugate_pairing=args.pairing,
-            )
-            result = solvers.omp_recover(sensing_matrix(matrix), y, cfg)
+            result = solvers.omp_recover(sensing_matrix(matrix), y, replace(solvers.OmpConfig(), **omp_fields))
         else:
-            cfg = solvers.TvConfig(
-                step_size=args.tv_step,
-                lam=args.tv_lambda,
-                epsilon=args.tv_epsilon,
-                max_iters=args.tv_iters,
-                grad_tol=args.tv_grad_tol,
-            )
-            result = solvers.tv_recover(matrix, y, cfg)
+            result = solvers.tv_recover(matrix, y, replace(solvers.TvConfig(), **tv_fields))
     except (solvers.NonConvergenceError, solvers.SingularSystemError) as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -250,21 +239,19 @@ def _given(**fields) -> dict:
     return {key: value for key, value in fields.items() if value is not None}
 
 
+def _solver_fields(args) -> tuple[dict, dict]:
+    """The OmpConfig and TvConfig fields set by the solver flags given."""
+    omp = _given(max_atoms=args.max_atoms, residual_tol=args.residual_tol)
+    tv = _given(step_size=args.tv_step, lam=args.tv_lambda, epsilon=args.tv_epsilon,
+                max_iters=args.tv_iters, grad_tol=getattr(args, "tv_grad_tol", None))
+    return omp, tv
+
+
 def _experiment_config(args) -> experiments.ExperimentConfig:
-    # Solver flags override the preset's OMP/TV configs field by field;
-    # without such flags omp/tv stay None and each run takes its plan's own.
-    base = experiments.resolve_plan(
-        experiments.ExperimentConfig(preset=args.preset, method=args.matrix, p_terms=args.p_terms)
-    )
-    omp_fields = _given(max_atoms=args.max_atoms, residual_tol=args.residual_tol)
-    omp = None
-    if omp_fields or not args.pairing:
-        omp = replace(base.omp, conjugate_pairing=args.pairing, **omp_fields)
-    tv_fields = _given(
-        step_size=args.tv_step, lam=args.tv_lambda, epsilon=args.tv_epsilon, max_iters=args.tv_iters
-    )
-    tv = replace(base.tv, **tv_fields) if tv_fields else None
-    return experiments.ExperimentConfig(
+    # Solver flags override the OMP/TV configs of the plan resolved at the
+    # given problem size, field by field; without such flags omp/tv stay None
+    # and each run takes its plan's own.
+    cfg = experiments.ExperimentConfig(
         preset=args.preset,
         method=args.matrix,
         p_terms=args.p_terms,
@@ -274,8 +261,13 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
         m_samples=args.m,
         n_grid=args.n,
         sample_rate=args.rate,
-        omp=omp,
-        tv=tv,
+    )
+    omp_fields, tv_fields = _solver_fields(args)
+    plan = experiments.resolve_plan(cfg)
+    return replace(
+        cfg,
+        omp=replace(plan.omp, **omp_fields) if omp_fields else None,
+        tv=replace(plan.tv, **tv_fields) if tv_fields else None,
     )
 
 
@@ -341,9 +333,6 @@ def _add_experiment_flags(parser, default_p_list: bool = False) -> None:
     )
     parser.add_argument("--max-atoms", type=int, help="OMP support budget")
     parser.add_argument("--residual-tol", type=float, help="OMP relative residual stop")
-    parser.add_argument(
-        "--pairing", action=argparse.BooleanOptionalAction, default=True, help="OMP conjugate pairing"
-    )
     parser.add_argument("--tv-step", type=float, help="TV step factor (scaled by 1/||M0||^2)")
     parser.add_argument("--tv-lambda", type=float, help="TV regularization weight")
     parser.add_argument("--tv-epsilon", type=float, help="TV smoothing epsilon")
@@ -386,14 +375,13 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help="matrix CSV from build-matrix")
     p.add_argument("--measurements", required=True, help="CSV with a 'value' column (e.g. from sample)")
     p.add_argument("--solver", choices=("omp", "tv"), default="omp")
-    p.add_argument("--max-atoms", type=int, default=16)
-    p.add_argument("--residual-tol", type=float, default=1e-12)
-    p.add_argument("--pairing", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--tv-step", type=float, default=1e-2)
+    p.add_argument("--max-atoms", type=int)
+    p.add_argument("--residual-tol", type=float)
+    p.add_argument("--tv-step", type=float)
     p.add_argument("--tv-lambda", type=float)
-    p.add_argument("--tv-epsilon", type=float, default=1e-3)
-    p.add_argument("--tv-iters", type=int, default=10_000)
-    p.add_argument("--tv-grad-tol", type=float, default=1e-8)
+    p.add_argument("--tv-epsilon", type=float)
+    p.add_argument("--tv-iters", type=int)
+    p.add_argument("--tv-grad-tol", type=float)
     _add_common_out(p)
     p.set_defaults(func=_cmd_recover)
 
@@ -429,10 +417,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_inject_config(argv))
         return args.func(args)
-    except UsageError as exc:
-        print(f"randsamp: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"randsamp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -118,11 +118,11 @@ class ExperimentConfig:
 # signal's 7 occupied bins with margin; the gauspuls budget keeps the
 # dominant spectral lobe of the pulse; the square-wave TV settings are
 # engineering choices tuned for the M=80/N=240 configuration.
-TRIG_OMP = OmpConfig(max_atoms=16, residual_tol=1e-12, conjugate_pairing=True)
-GAUSPULS_OMP = OmpConfig(max_atoms=24, residual_tol=1e-4, conjugate_pairing=True)
+TRIG_OMP = OmpConfig(max_atoms=16, residual_tol=1e-12)
+GAUSPULS_OMP = OmpConfig(max_atoms=24, residual_tol=1e-4)
 SQUARE_TV = TvConfig(step_size=1.0, lam=None, epsilon=1e-3, max_iters=20_000, grad_tol=1e-8)
 # Warm-start budget for the square preset's TV solve (see ResolvedPlan.tv_init).
-SQUARE_INIT_OMP = OmpConfig(max_atoms=24, residual_tol=1e-6, conjugate_pairing=True)
+SQUARE_INIT_OMP = OmpConfig(max_atoms=24, residual_tol=1e-6)
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,9 @@ class ResolvedPlan:
 def _fit_default_budget(omp: OmpConfig, m: int, n: int) -> OmpConfig:
     """Clamp a preset's default OMP budget to an overridden problem size.
 
-    Leaves room for conjugate pairing to overshoot by one atom without
-    tripping the over-selection guard. User-supplied configs are not touched.
+    OMP adds a frequency pair's two bins at once and so can overshoot the
+    budget by one bin; the cap leaves room for that below M, where the
+    over-selection guard would trip. User-supplied configs are not touched.
     """
     cap = min(omp.max_atoms, max(1, m - 1), n)
     return omp if cap == omp.max_atoms else replace(omp, max_atoms=cap)

@@ -2,10 +2,10 @@
 
 Two solvers:
 
-* :func:`omp_recover` -- orthogonal matching pursuit on the complex sensing
-  matrix A = M0 Psi*. Greedily selects the spectral bin whose (normalized)
-  column correlates best with the residual, optionally together with its
-  conjugate partner bin, then re-fits all selected bins by least squares.
+* :func:`omp_recover` -- orthogonal matching pursuit for real signals on the
+  sensing matrix A = M0 Psi* of a real M0. Greedily selects the frequency
+  whose (normalized) column best correlates with the residual, takes bins j
+  and N-j, then re-fits all selected frequencies by real least squares.
 * :func:`tv_recover` -- gradient descent on a smoothed total-variation
   objective, for signals whose variation rather than spectrum is sparse:
   J(x) = 0.5 ||M0 x - y||^2 + lam * sum_n sqrt((x[n+1]-x[n])^2 + eps^2)
@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fourier import dft_adjoint
 
 
 class SingularSystemError(RuntimeError):
@@ -46,18 +44,16 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OmpConfig:
-    """Stopping rule and selection options for orthogonal matching pursuit.
+    """Stopping rule for orthogonal matching pursuit.
 
-    max_atoms: largest support size before stopping.
+    max_atoms: largest support size, in DFT bins, before stopping; a
+        frequency adds its bins j and N-j (DC and Nyquist add one), so the
+        final support can exceed it by one bin.
     residual_tol: stop once ||residual|| <= residual_tol * ||y||.
-    conjugate_pairing: select bin (N-j) mod N together with bin j so the
-        recovered spectrum of a real signal stays conjugate-symmetric; the DC
-        and Nyquist bins are their own partners.
     """
 
     max_atoms: int = 16
     residual_tol: float = 1e-12
-    conjugate_pairing: bool = True
 
     def __post_init__(self):
         if self.max_atoms < 1:
@@ -111,14 +107,20 @@ class RecoveryResult:
 
 
 def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
-    """Greedy sparse recovery of the spectrum behind measurements y.
+    """Greedy recovery of the real signal behind real measurements y.
 
-    Per iteration: (1) pick the bin maximizing |<a_j/||a_j||, r>| (ties break
-    to the lowest index), (2) with conjugate pairing also take bin (N-j) mod N
-    when distinct, (3) least-squares re-fit y on all selected columns,
-    (4) update the residual. Stops when the support reaches cfg.max_atoms or
-    the residual drops below cfg.residual_tol * ||y||. The time-domain output
-    is the real part of the adjoint DFT of the recovered spectrum.
+    sensing is the sensing matrix of a real M0 (see
+    :func:`~randsamp.fourier.sensing_matrix`): column N-j is the conjugate of
+    column j, so only columns 0..N//2 are read. A matrix not mirrored so to
+    1e-12 of its largest entry, with real DC and Nyquist columns, raises
+    ValueError. Per iteration: (1) pick the frequency j maximizing
+    |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins j and N-j, or
+    one bin for DC and Nyquist; (2) least-squares re-fit y over the real
+    columns Re a_j and Im a_j of the selected frequencies (Re a_j alone for DC
+    and Nyquist); (3) update the real residual. Stops when the support reaches
+    cfg.max_atoms bins or the residual drops below cfg.residual_tol * ||y||.
+    The spectrum is Hermitian by construction, and the time-domain output is
+    its inverse real FFT.
     """
     a = np.asarray(sensing)
     y = np.asarray(y, dtype=float)
@@ -127,49 +129,57 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
         raise ValueError("measurement length does not match matrix rows")
     if cfg.max_atoms > n:
         raise ValueError("max_atoms cannot exceed the number of columns")
-
-    # Column norms from the real and imaginary parts: half the time of
-    # np.linalg.norm on a complex array.
-    col_norms = np.sqrt(np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag))
+    h = n // 2 + 1
+    self_paired = [0] if n % 2 else [0, n // 2]  # bins that are their own partner
+    # Re and Im of columns 0..N//2 side by side in one contiguous real array,
+    # so that one real matrix-vector product gives every correlation.
+    parts = np.concatenate((a[:, :h].real, a[:, :h].imag), axis=1)
+    tail, mirror = a[:, h:], a[:, n - h : 0 : -1]
+    gap = max(np.abs(tail.real - mirror.real).max(initial=0.0),
+              np.abs(tail.imag + mirror.imag).max(initial=0.0),
+              np.abs(a[:, self_paired].imag).max(initial=0.0))
+    if gap > 1e-12 * np.abs(parts).max(initial=0.0):
+        raise ValueError("sensing matrix columns are not the conjugate pairs of a real M0")
+    sq_norms = np.einsum("ij,ij->j", parts, parts)
+    col_norms = np.sqrt(sq_norms[:h] + sq_norms[h:])
     col_norms = np.where(col_norms > 0.0, col_norms, 1.0)
     y_norm = float(np.linalg.norm(y))
-    residual = y.astype(complex)
-    support: list[int] = []
-    coeffs = np.zeros(0, dtype=complex)
+    residual = y
+    picked: list[int] = []  # frequencies
+    support: list[int] = []  # their DFT bins
+    columns: list[int] = []  # their columns of parts, one per real unknown
+    coeffs = np.zeros(0)
     history = [y_norm]
-    iterations = 0
 
     while np.linalg.norm(residual) > cfg.residual_tol * y_norm and len(support) < cfg.max_atoms:
-        # |r^H a_j| = |a_j^H r|; conjugating the length-M residual avoids
-        # forming a conjugated copy of the M x N matrix on every iteration.
-        corr = np.abs(residual.conj() @ a) / col_norms
-        if support:
-            corr[support] = -1.0
-        pick = int(np.argmax(corr))
-        support.append(pick)
-        if cfg.conjugate_pairing:
-            partner = (n - pick) % n
-            if partner != pick and partner not in support:
-                support.append(partner)
+        corr = residual @ parts
+        score = np.hypot(corr[:h], corr[h:]) / col_norms
+        score[picked] = -1.0
+        pick = int(np.argmax(score))
+        picked.append(pick)
+        paired = pick not in self_paired
+        support += [pick, n - pick] if paired else [pick]
+        columns += [pick, h + pick] if paired else [pick]
         if len(support) > m:
             raise ValueError(f"support size {len(support)} exceeds the {m} measurements")
-        a_sub = a[:, support]
+        a_sub = parts[:, columns]
         coeffs, _, rank, _ = np.linalg.lstsq(a_sub, y, rcond=None)
-        if rank < len(support):
+        if rank < len(columns):
             raise SingularSystemError(support)
         residual = y - a_sub @ coeffs
-        iterations += 1
         history.append(float(np.linalg.norm(residual)))
 
-    spectrum = np.zeros(n, dtype=complex)
-    if support:
-        spectrum[support] = coeffs
-    recovered = dft_adjoint(spectrum).real
+    # y = sum_j 2 Re(a_j c_j) over the pairs plus a_j c_j at DC and Nyquist,
+    # so c_j = (alpha_j - i beta_j) / 2 for the weights of Re a_j and Im a_j.
+    w = np.zeros(2 * h)
+    w[columns] = coeffs
+    half = 0.5 * (w[:h] - 1j * w[h:])
+    half[self_paired] *= 2.0
     return RecoveryResult(
-        recovered=recovered,
-        spectrum=spectrum,
+        recovered=np.fft.irfft(half, n=n, norm="ortho"),
+        spectrum=np.concatenate((half, half[n - h : 0 : -1].conj())),
         support=support,
-        iterations=iterations,
+        iterations=len(picked),
         final_residual=float(np.linalg.norm(residual)),
         residual_history=np.asarray(history),
     )

@@ -98,6 +98,16 @@ class TestExperimentCommand:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_solver_flag_keeps_budget_fitted_to_overridden_m(self, run_cli):
+        # The preset budget is fitted to --m before --residual-tol overrides
+        # the stopping rule, so a final frequency pair cannot outgrow M.
+        proc = run_cli(
+            "experiment", "--preset", "trig", "--m", "8", "--runs", "2", "--seed", "7",
+            "--residual-tol", "1e-6",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + 2 + 1
+
     def test_gauspuls_odd_grid(self, run_cli, tmp_path):
         out = tmp_path / "r.csv"
         proc = run_cli(
@@ -294,10 +304,11 @@ class TestExperimentConfig:
         from randsamp.solvers import OmpConfig
 
         assert self.config("--preset", "trig", "--max-atoms", "8").omp == OmpConfig(
-            max_atoms=8, residual_tol=TRIG_OMP.residual_tol, conjugate_pairing=True
+            max_atoms=8, residual_tol=TRIG_OMP.residual_tol
         )
-        cfg = self.config("--preset", "gauspuls", "--no-pairing")
-        assert cfg.omp == OmpConfig(
-            max_atoms=GAUSPULS_OMP.max_atoms, residual_tol=GAUSPULS_OMP.residual_tol, conjugate_pairing=False
-        )
+        cfg = self.config("--preset", "gauspuls", "--residual-tol", "1e-6")
+        assert cfg.omp == OmpConfig(max_atoms=GAUSPULS_OMP.max_atoms, residual_tol=1e-6)
         assert cfg.tv is None
+        # the preset budget is first fitted to the overridden M
+        cfg = self.config("--preset", "gauspuls", "--m", "10", "--residual-tol", "1e-6")
+        assert cfg.omp == OmpConfig(max_atoms=9, residual_tol=1e-6)

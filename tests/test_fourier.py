@@ -149,10 +149,8 @@ class TestAgainstExplicitMatrix:
             reject()
         support = set(res.support)
         assert support == {(n - j) % n for j in support}
-        raw = dft_adjoint(res.spectrum)
-        assert np.array_equal(res.recovered, raw.real)
-        # The paired least-squares fit is conjugate-symmetric up to rounding,
-        # which the conditioning of the selected columns amplifies (two
-        # sample times a hair apart on the circle give a near-singular fit).
-        cond = np.linalg.cond(a[:, res.support])
-        assert np.linalg.norm(raw.imag) <= 1e-12 * cond * np.linalg.norm(raw.real)
+        # exactly Hermitian, so its inverse real FFT drops nothing
+        spectrum = res.spectrum
+        assert np.array_equal(spectrum[1:], spectrum[:0:-1].conj())
+        assert spectrum[0].imag == 0.0 and (n % 2 or spectrum[n // 2].imag == 0.0)
+        assert np.array_equal(res.recovered, np.fft.irfft(spectrum[: n // 2 + 1], n=n, norm="ortho"))

@@ -18,13 +18,25 @@ from randsamp.solvers import (
 )
 
 
-def sparse_measurement(n, bins, coeffs):
-    """Real measurement vector from a conjugate-symmetric sparse spectrum."""
+def hermitian_spectrum(n, bins, coeffs):
+    """Conjugate-symmetric spectrum with the given coefficients at bins."""
     spectrum = np.zeros(n, dtype=complex)
     for k, c in zip(bins, coeffs):
         spectrum[k] = c
         spectrum[(n - k) % n] = np.conj(c)
+    return spectrum
+
+
+def sparse_measurement(n, bins, coeffs):
+    """Real measurement vector from a conjugate-symmetric sparse spectrum."""
+    spectrum = hermitian_spectrum(n, bins, coeffs)
     return dft_adjoint(spectrum).real, spectrum
+
+
+def random_sensing(m, n, rng):
+    """Sensing matrix of the closed-form M0 at m uniform random times in [0, n)."""
+    times = np.sort(rng.uniform(0.0, float(n), size=m))
+    return sensing_matrix(build_poisson(times, 1.0, n))
 
 
 class TestOmp:
@@ -38,60 +50,63 @@ class TestOmp:
         assert np.allclose(res.spectrum, spectrum, atol=1e-12)
         assert np.allclose(res.recovered, y, atol=1e-12)
 
-    def test_without_pairing_needs_both_bins(self):
-        n = 16
-        y, _ = sparse_measurement(n, [3], [2.0 - 1.0j])
-        a = dft_matrix(n).conj()
-        res = omp_recover(a, y, OmpConfig(max_atoms=4, residual_tol=1e-12, conjugate_pairing=False))
-        assert res.iterations == 2
-        assert sorted(res.support) == [3, 13]
-
     def test_matches_exhaustive_one_sparse_oracle(self):
         rng = np.random.default_rng(17)
+        n, h = 64, 33
         for _ in range(20):
-            a = rng.standard_normal((4, 8))
-            truth = rng.integers(0, 8)
-            y = a[:, truth] * rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-            # oracle: best single-column least-squares fit
+            a = random_sensing(32, n, rng)
+            truth = int(rng.integers(0, h))
+            if truth in (0, n // 2):
+                c = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+            else:
+                c = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
+            y = (a @ hermitian_spectrum(n, [truth], [c])).real
+            # oracle: the frequency whose real columns give the best least-squares fit
             best_j, best_res = None, np.inf
-            for j in range(8):
-                c = (a[:, j] @ y) / (a[:, j] @ a[:, j])
-                r = np.linalg.norm(y - c * a[:, j])
+            for j in range(h):
+                cols = [a[:, j].real] if j in (0, n // 2) else [a[:, j].real, a[:, j].imag]
+                basis = np.column_stack(cols)
+                c = np.linalg.lstsq(basis, y, rcond=None)[0]
+                r = np.linalg.norm(y - basis @ c)
                 if r < best_res:
                     best_j, best_res = j, r
-            res = omp_recover(a, y, OmpConfig(max_atoms=1, residual_tol=0.0, conjugate_pairing=False))
-            assert res.support == [best_j] == [truth]
+            res = omp_recover(a, y, OmpConfig(max_atoms=1, residual_tol=0.0))
+            assert res.iterations == 1
+            assert res.support[0] == best_j == truth
+            assert set(res.support) == {truth, (n - truth) % n}
 
     def test_residual_history_monotone(self):
         rng = np.random.default_rng(23)
-        a = rng.standard_normal((24, 48)) + 1j * rng.standard_normal((24, 48))
+        a = random_sensing(24, 48, rng)
         y = rng.standard_normal(24)
-        res = omp_recover(a, y, OmpConfig(max_atoms=10, residual_tol=0.0, conjugate_pairing=False))
+        res = omp_recover(a, y, OmpConfig(max_atoms=10, residual_tol=0.0))
         diffs = np.diff(res.residual_history)
         assert np.all(diffs <= 1e-12)
         assert res.final_residual == res.residual_history[-1]
 
     def test_deterministic(self):
         rng = np.random.default_rng(29)
-        a = rng.standard_normal((16, 32))
+        a = random_sensing(16, 32, rng)
         y = rng.standard_normal(16)
-        cfg = OmpConfig(max_atoms=6, residual_tol=0.0, conjugate_pairing=False)
+        cfg = OmpConfig(max_atoms=6, residual_tol=0.0)
         r1 = omp_recover(a, y, cfg)
         r2 = omp_recover(a, y, cfg)
         assert r1.support == r2.support
         assert np.array_equal(r1.spectrum, r2.spectrum)
 
     def test_statistical_support_recovery(self):
-        # exact support recovery on >= 90 of 100 seeded K-sparse problems
+        # exact support recovery of 4-tone real trigonometric polynomials from
+        # 40 random samples at N=64; 94 of these 100 seeded problems succeed
         wins = 0
+        n = 64
         for trial in range(100):
             rng = np.random.default_rng(1000 + trial)
-            a = rng.standard_normal((40, 64))
-            support = rng.choice(64, size=5, replace=False)
-            coeffs = (1.0 + rng.random(5)) * rng.choice([-1.0, 1.0], size=5)
-            y = a[:, support] @ coeffs
-            res = omp_recover(a, y, OmpConfig(max_atoms=5, residual_tol=0.0, conjugate_pairing=False))
-            wins += set(res.support) == set(support)
+            a = random_sensing(40, n, rng)
+            freqs = rng.choice(np.arange(1, n // 2), size=4, replace=False)
+            coeffs = (1.0 + rng.random(4)) * np.exp(2j * np.pi * rng.random(4))
+            y = (a @ hermitian_spectrum(n, freqs, coeffs)).real
+            res = omp_recover(a, y, OmpConfig(max_atoms=8, residual_tol=0.0))
+            wins += set(res.support) == set(freqs) | set(n - freqs)
         assert wins >= 90
 
     def test_pairing_keeps_time_output_essentially_real(self):
@@ -105,34 +120,46 @@ class TestOmp:
         assert np.linalg.norm(raw.imag) < 1e-10 * np.linalg.norm(raw.real)
 
     def test_rank_deficient_support_raises(self):
-        # conjugate pairing pulls in a duplicated partner column
-        v = np.array([1.0 + 0.5j, -2.0 + 0.25j])
-        a = np.zeros((2, 4), dtype=complex)
-        a[:, 1] = v
-        a[:, 3] = v  # partner (4 - 1) % 4 == 3 duplicates column 1
-        a[:, 0] = [0.1, 0.05]
-        a[:, 2] = [0.05, 0.1]
+        # times 0.25 and 5.25 (and 1.5 and 6.5) are equal mod N = 5, so M0 has
+        # two distinct rows (to rounding) and no three real unknowns can be fitted
+        m0 = build_poisson(np.array([0.25, 5.25, 1.5, 6.5]), 1.0, 5)
+        assert np.max(np.abs(m0.entries[[0, 2]] - m0.entries[[1, 3]])) < 1e-14
+        y = np.array([1.0, -1.0, 2.0, -2.0])
         with pytest.raises(SingularSystemError) as exc:
-            omp_recover(a, v.real, OmpConfig(max_atoms=4, residual_tol=1e-12))
-        assert 1 in exc.value.support and 3 in exc.value.support
+            omp_recover(sensing_matrix(m0), y, OmpConfig(max_atoms=5, residual_tol=1e-12))
+        support = exc.value.support
+        assert len(support) == 3 and 0 in support
+        assert {k for k in support if k} in ({1, 4}, {2, 3})
 
     def test_over_selection_raises(self):
         rng = np.random.default_rng(31)
-        a = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-        y = rng.standard_normal(2)
+        a = random_sensing(3, 8, rng)
+        y = rng.standard_normal(3)
         with pytest.raises(ValueError, match="exceeds"):
-            omp_recover(a, y, OmpConfig(max_atoms=4, residual_tol=0.0))
+            omp_recover(a, y, OmpConfig(max_atoms=8, residual_tol=0.0))
 
     def test_argument_validation(self):
-        a = np.eye(4, dtype=complex)
+        a = random_sensing(4, 8, np.random.default_rng(0))
         with pytest.raises(ValueError):
             omp_recover(a, np.zeros(3), OmpConfig())
         with pytest.raises(ValueError):
-            omp_recover(a, np.zeros(4), OmpConfig(max_atoms=5))
+            omp_recover(a, np.zeros(4), OmpConfig(max_atoms=9))
         with pytest.raises(ValueError):
             OmpConfig(max_atoms=0)
         with pytest.raises(ValueError):
             OmpConfig(residual_tol=-1.0)
+        # columns that are not the conjugate pairs of a real M0
+        with pytest.raises(ValueError, match="conjugate"):
+            omp_recover(np.eye(4, dtype=complex), np.ones(4), OmpConfig(max_atoms=4))
+        for j in (0, 4):  # DC and Nyquist must be real
+            b = a.copy()
+            b[:, j] += 1j
+            with pytest.raises(ValueError, match="conjugate"):
+                omp_recover(b, np.ones(4), OmpConfig(max_atoms=4))
+        b = a.copy()
+        b[:, 5] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="conjugate"):
+            omp_recover(b, np.ones(4), OmpConfig(max_atoms=4))
 
 
 class TestTvPieces:

@@ -45,6 +45,7 @@ from .signals import (
 from .solvers import (
     NonConvergenceError,
     OmpConfig,
+    OverSelectionError,
     RecoveryResult,
     SingularSystemError,
     TvConfig,
@@ -64,6 +65,7 @@ __all__ = [
     "NonConvergenceError",
     "ObservationMatrix",
     "OmpConfig",
+    "OverSelectionError",
     "RandomSampleSet",
     "Reconstruction",
     "RecoveryResult",

@@ -214,7 +214,7 @@ def _cmd_recover(args) -> int:
             result = solvers.omp_recover(sensing_matrix(matrix), y, replace(solvers.OmpConfig(), **omp_fields))
         else:
             result = solvers.tv_recover(matrix, y, replace(solvers.TvConfig(), **tv_fields))
-    except (solvers.NonConvergenceError, solvers.SingularSystemError) as exc:
+    except (solvers.NonConvergenceError, solvers.OverSelectionError, solvers.SingularSystemError) as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.format == "csv":

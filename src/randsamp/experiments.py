@@ -34,6 +34,7 @@ from .signals import (
 from .solvers import (
     NonConvergenceError,
     OmpConfig,
+    OverSelectionError,
     SingularSystemError,
     TvConfig,
     omp_recover,
@@ -265,9 +266,9 @@ def _run(
 
     The generator first yields the run's RunRecord; when the solver failed,
     its error is NaN and its times are those measured up to the failure.
-    Resumed, it re-raises that NonConvergenceError or SingularSystemError,
-    or yields the run's Reconstruction. Taking only the record leaves no
-    reconstruction built and no matrix kept.
+    Resumed, it re-raises that NonConvergenceError, OverSelectionError or
+    SingularSystemError, or yields the run's Reconstruction. Taking only the
+    record leaves no reconstruction built and no matrix kept.
     """
     seed = derive_run_seed(cfg.master_seed, run_id)
     times = draw_random_times(plan.m_samples, plan.duration, plan.t0, seed)
@@ -289,7 +290,7 @@ def _run(
                 x_init = omp_recover(sensing_matrix(m0), samples.values, plan.omp).recovered
             result = tv_recover(m0, samples.values, plan.tv, x_init=x_init)
         error = relative_l2_error(result.recovered, reference.values)
-    except (NonConvergenceError, SingularSystemError):
+    except (NonConvergenceError, OverSelectionError, SingularSystemError):
         yield RunRecord(run_id, seed, float("nan"), build_time, time.perf_counter() - tic)
         raise
     yield RunRecord(run_id, seed, error, build_time, time.perf_counter() - tic)

@@ -14,7 +14,10 @@ does not start at zero).
                    sin(pi (theta + p N)) = (-1)^(p N) sin(pi theta), it is
                    evaluated as (sin(pi theta) / pi) *
                    sum_p (-1)^(p N) / (theta + p N): one sine per entry plus
-                   P cheap reciprocal passes.
+                   an O(P) sum with no trig. Terms +-p with p >= q, where
+                   q N >= 2 max|theta|, are summed as one pair
+                   2 theta / (theta^2 - (p N)^2), so the sum takes about P/2
+                   reciprocal passes, the near-singular |p| < q terms singly.
 * ``poisson``   -- the exact periodization in closed form: the Dirichlet
                    kernel sin(pi theta) / (N tan(pi theta / N)) for even N,
                    sin(pi theta) / (N sin(pi theta / N)) for odd N, with no
@@ -29,6 +32,7 @@ does not start at zero).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -131,33 +135,55 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
 
     Uses sin(pi (theta + p N)) = (-1)^(p N) sin(pi theta) to evaluate
     (sin(pi theta) / pi) * sum_p (-1)^(p N) / (theta + p N): one sine per entry
-    plus P in-place reciprocal passes, still O(P) but with no trig in the loop.
-    The sine is taken of the exactly reduced argument r = theta - round(theta),
-    so entries near a grid hit keep full accuracy. Exact hits (r == 0, or r
-    subnormal, where 1 / r overflows) get the limit of the sum: 1 where
-    theta + p N == 0 for a p in the window, else 0.
+    plus an O(P) sum with no trig in the loop. The terms p and -p, both in the
+    window for 1 <= p < P/2 and of equal sign, are summed as one pair,
+    1 / (theta + p N) + 1 / (theta - p N) = 2 theta / (theta^2 - (p N)^2), for
+    every p >= q, the least integer >= 1 with q N >= 2 max|theta| over the
+    build. There |theta^2 - (p N)^2| >= (3/4) (p N)^2, so the subtraction
+    loses nothing, and a pair costs one reciprocal pass where two terms cost
+    two; theta^2 is formed once, and the pair sum is scaled by 2 theta once.
+    The near-singular terms |p| < q and the unpaired p = P/2 are summed
+    singly. The sine is taken of the exactly reduced argument
+    r = theta - round(theta), so entries near a grid hit keep full accuracy.
+    Exact hits (r == 0, or r subnormal, where 1 / r overflows) get the limit
+    of the sum: 1 where theta + p N == 0 for a p in the window, else 0.
     """
     check_p_terms(p_terms)
     times, theta = _kernel_args(times, interval, n_grid)
+    half = p_terms // 2
     k = np.round(theta)
     r = theta - k
     sine = np.sin(np.pi * r)
     sine[k % 2 != 0] *= -1.0  # sin(pi theta) = (-1)^k sin(pi r)
-    acc = np.zeros_like(theta)
+    hit = np.abs(r) < np.finfo(float).tiny
+    k_hit = k[hit]
+    q = max(1, math.ceil(2.0 * max(theta.max(), -theta.min()) / n_grid))
+    # k and r are spent: k now holds theta^2 and r the running sum.
+    sq = np.multiply(theta, theta, out=k)
+    acc = r
+    acc.fill(0.0)
     buf = np.empty_like(theta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for p in range(-p_terms // 2 + 1, p_terms // 2 + 1):
+        for p in range(q, half):
+            np.subtract(sq, float(p * n_grid) ** 2, out=buf)
+            np.reciprocal(buf, out=buf)
+            if n_grid % 2 and p % 2:
+                acc -= buf
+            else:
+                acc += buf
+        acc *= theta
+        acc *= 2.0
+        for p in [p for p in range(-half + 1, half + 1) if abs(p) < q or p == half]:
             np.add(theta, p * n_grid, out=buf)
             np.reciprocal(buf, out=buf)
             if n_grid % 2 and p % 2:
                 acc -= buf
             else:
                 acc += buf
-        entries = sine * acc / np.pi
-    hit = np.abs(r) < np.finfo(float).tiny
-    k_hit = k[hit]
+        entries = np.multiply(acc, sine, out=acc)
+        entries /= np.pi
     p_hit = -k_hit / n_grid
-    entries[hit] = (k_hit % n_grid == 0) & (p_hit > -p_terms // 2) & (p_hit <= p_terms // 2)
+    entries[hit] = (k_hit % n_grid == 0) & (p_hit > -half) & (p_hit <= half)
     return ObservationMatrix(entries, "truncated", times, interval, n_grid, p_terms=p_terms)
 
 

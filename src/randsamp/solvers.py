@@ -32,6 +32,10 @@ class SingularSystemError(RuntimeError):
         super().__init__(f"rank-deficient least-squares system on support {self.support}")
 
 
+class OverSelectionError(ValueError):
+    """OMP selected more DFT bins than there are measurements."""
+
+
 class NonConvergenceError(RuntimeError):
     """The objective kept increasing through repeated step halvings."""
 
@@ -119,8 +123,9 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     columns Re a_j and Im a_j of the selected frequencies (Re a_j alone for DC
     and Nyquist); (3) update the real residual. Stops when the support reaches
     cfg.max_atoms bins or the residual drops below cfg.residual_tol * ||y||.
-    The spectrum is Hermitian by construction, and the time-domain output is
-    its inverse real FFT.
+    A support that outgrows the M measurements raises OverSelectionError, and
+    a rank-deficient re-fit SingularSystemError. The spectrum is Hermitian by
+    construction, and the time-domain output is its inverse real FFT.
     """
     a = np.asarray(sensing)
     y = np.asarray(y, dtype=float)
@@ -161,7 +166,7 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
         support += [pick, n - pick] if paired else [pick]
         columns += [pick, h + pick] if paired else [pick]
         if len(support) > m:
-            raise ValueError(f"support size {len(support)} exceeds the {m} measurements")
+            raise OverSelectionError(f"support size {len(support)} exceeds the {m} measurements")
         a_sub = parts[:, columns]
         coeffs, _, rank, _ = np.linalg.lstsq(a_sub, y, rcond=None)
         if rank < len(columns):

@@ -7,18 +7,23 @@ the CLI, e.g. ``randsamp experiment --preset trig --matrix poisson --runs 50
 --seed 7``.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from randsamp.experiments import (
     ExperimentConfig,
+    derive_run_seed,
     reconstruct_once,
     relative_l2_error,
+    resolve_plan,
     run_experiment,
     sweep_truncation,
 )
 from randsamp.fourier import dft_adjoint, dft_forward
-from randsamp.obs_matrix import build_poisson, build_truncated
+from randsamp.obs_matrix import build, build_poisson, build_truncated
+from randsamp.signals import draw_random_times
 from randsamp.solvers import total_variation, tv_gradient
 
 SEED = 7
@@ -80,14 +85,38 @@ def test_c04_error_vs_truncation_trend(sweep_rows):
     )
 
 
-def test_c05_build_time_vs_truncation_trend(sweep_rows):
-    times = [sweep_rows[p].mean_build_time_s for p in (20, 200, 2000)]
-    baseline = sweep_rows[None].mean_build_time_s
-    speedup = sweep_rows[200].mean_build_time_s / baseline
+def min_build_times(cfg, p_list, repeats=3):
+    """Mean over cfg's runs of each build's minimum wall time over repeats.
+
+    Every repeat builds, for each P in p_list in turn (None is the closed
+    form), the matrix of every run at that run's own sample times. A burst of
+    host load then slows one repeat of a slice, which the minimum drops,
+    rather than the whole slice. Each slice runs as one loop, as in a sweep:
+    interleaved, the small builds read slow, since a closed-form build right
+    after a P=2000 one took ~3x its time in a loop of closed-form builds.
+    """
+    plan = resolve_plan(cfg)
+    runs = [draw_random_times(plan.m_samples, plan.duration, plan.t0, derive_run_seed(cfg.master_seed, i))
+            for i in range(cfg.runs)]
+    best = {p: np.full(cfg.runs, np.inf) for p in p_list}
+    for _ in range(repeats):
+        for p in p_list:
+            for i, times in enumerate(runs):
+                tic = time.perf_counter()
+                build("poisson" if p is None else "truncated", times - plan.t0, plan.interval, plan.n_grid, p)
+                best[p][i] = min(best[p][i], time.perf_counter() - tic)
+    return {p: float(best[p].mean()) for p in p_list}
+
+
+def test_c05_build_time_vs_truncation_trend():
+    cfg = ExperimentConfig(preset="trig", runs=RUNS, master_seed=SEED)
+    build_s = min_build_times(cfg, [20, 200, 2000, None])
+    times = [build_s[p] for p in (20, 200, 2000)]
+    speedup = build_s[200] / build_s[None]
     check(
         "C5 build-time-vs-P trend",
         times[0] < times[1] < times[2] and speedup >= 5.0,
-        f"build times {['%.2e' % t for t in times]} s, closed-form speedup vs P=200 {speedup:.1f}x (require >= 5)",
+        f"min-of-3 build times {['%.2e' % t for t in times]} s, closed-form speedup vs P=200 {speedup:.1f}x (require >= 5)",
     )
 
 

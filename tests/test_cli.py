@@ -72,6 +72,19 @@ class TestExperimentCommand:
         assert proc.returncode == 2
         assert "failed" in proc.stderr
 
+    def test_over_selecting_runs_are_failed_runs(self, run_cli):
+        # A budget of 200 bins with no residual stop outgrows the 93
+        # measurements in every run: a numerical failure, not a usage error.
+        proc = run_cli(
+            "experiment", "--preset", "gauspuls", "--runs", "3", "--seed", "7",
+            "--max-atoms", "200", "--residual-tol", "0",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "all runs failed" in proc.stderr
+        rows = proc.stdout.splitlines()[1:]
+        assert len(rows) == 3 + 1
+        assert all(row.split(",")[7] == "nan" for row in rows)
+
     def test_all_failed_json_with_timings_is_valid(self, run_cli):
         proc = run_cli(
             "experiment", "--preset", "square", "--runs", "2",
@@ -174,6 +187,24 @@ class TestPipeline:
         truth = np.array([float(v) for v in read_csv_column(grid, "value")])
         got = np.array([float(v) for v in read_csv_column(recovered, "value")])
         assert np.linalg.norm(got - truth) / np.linalg.norm(truth) < 1e-8
+
+    def test_recover_over_selection_is_numerical_failure(self, run_cli, tmp_path):
+        samples = tmp_path / "samples.csv"
+        matrix = tmp_path / "matrix.csv"
+        assert run_cli(
+            "sample", "--signal", "trig", "--m", "8", "--duration", "0.32",
+            "--seed", "11", "--out", samples,
+        ).returncode == 0
+        assert run_cli(
+            "build-matrix", "--times", samples, "--interval", "0.00125", "--n", "256",
+            "--out", matrix,
+        ).returncode == 0
+        proc = run_cli(
+            "recover", "--matrix", matrix, "--measurements", samples,
+            "--max-atoms", "16", "--residual-tol", "0",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "recovery failed: support size" in proc.stderr
 
     def test_generate_gauspuls_implies_grid(self, run_cli, tmp_path):
         out = tmp_path / "pulse.csv"

@@ -21,7 +21,7 @@ from randsamp.experiments import (
     sweep_csv,
     sweep_truncation,
 )
-from randsamp.solvers import NonConvergenceError, TvConfig
+from randsamp.solvers import NonConvergenceError, OmpConfig, OverSelectionError, TvConfig
 
 
 class TestRelativeError:
@@ -173,6 +173,16 @@ class TestRunExperiment:
         report = run_experiment(diverging_tv_config())
         assert report.n_failed == 2
         assert math.isnan(report.mean_error)
+
+    def test_over_selecting_run_marks_run_failed(self):
+        # With no residual stop, OMP keeps adding frequency pairs past the
+        # M = 8 measurements; each such run is a NaN record, not an abort.
+        cfg = small_trig_config(runs=2, m_samples=8, omp=OmpConfig(max_atoms=16, residual_tol=0.0))
+        with pytest.raises(OverSelectionError, match="exceeds the 8 measurements"):
+            reconstruct_once(cfg)
+        report = run_experiment(cfg)
+        assert report.n_failed == 2
+        assert all(math.isnan(r.error) and r.build_time_s > 0.0 for r in report.records)
 
     def test_failed_run_row_keeps_seed_and_timings(self):
         report = run_experiment(diverging_tv_config())

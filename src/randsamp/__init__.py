@@ -2,7 +2,7 @@
 
 The pieces, bottom up: test-signal generators and samplers (:mod:`.signals`),
 three observation-matrix constructions linking the uniform grid to the random
-sample times (:mod:`.obs_matrix`), the unitary DFT basis and the composed
+sample times (:mod:`.obs_matrix`), the unitary DFT basis and the real
 sensing matrix (:mod:`.fourier`), OMP and total-variation recovery
 (:mod:`.solvers`), and a seeded benchmark harness (:mod:`.experiments`) with
 a CLI front end (:mod:`.cli`).
@@ -20,7 +20,7 @@ from .experiments import (
     run_experiment,
     sweep_truncation,
 )
-from .fourier import dft_adjoint, dft_forward, sensing_matrix
+from .fourier import dft_adjoint, dft_forward, poisson_sensing, sensing_matrix
 from .obs_matrix import (
     ObservationMatrix,
     build,
@@ -86,6 +86,7 @@ __all__ = [
     "load_matrix_csv",
     "omp_recover",
     "periodized_sinc",
+    "poisson_sensing",
     "reconstruct_once",
     "relative_l2_error",
     "resolve_plan",

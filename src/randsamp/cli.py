@@ -183,14 +183,20 @@ def _cmd_sample(args) -> int:
 
 def _read_column(path: str, column: str) -> np.ndarray:
     try:
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+        text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    header = lines[0].split(",")
+    rows = [(no, ln.strip().split(",")) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows:
+        raise UsageError(f"{path}: empty file, expected a header with a {column!r} column")
+    header = rows[0][1]
     if column not in header:
         raise UsageError(f"{path}: no {column!r} column in header {header}")
     idx = header.index(column)
-    return np.array([float(ln.split(",")[idx]) for ln in lines[1:]])
+    for no, fields in rows[1:]:
+        if len(fields) <= idx:
+            raise UsageError(f"{path}: line {no} has no {column!r} field")
+    return np.array([float(fields[idx]) for _, fields in rows[1:]])
 
 
 def _cmd_build_matrix(args) -> int:

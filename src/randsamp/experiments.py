@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fourier import sensing_matrix
+from .fourier import poisson_sensing, sensing_matrix
 from .obs_matrix import METHODS, ObservationMatrix, build, check_p_terms
 from .signals import (
     GaussPulseSignal,
@@ -269,31 +269,41 @@ def _run(
     Resumed, it re-raises that NonConvergenceError, OverSelectionError or
     SingularSystemError, or yields the run's Reconstruction. Taking only the
     record leaves no reconstruction built and no matrix kept.
+
+    build_time_s times what makes the operators the solvers read (for OMP on
+    ``poisson``, only :func:`poisson_sensing`), solve_time_s the solvers.
     """
     seed = derive_run_seed(cfg.master_seed, run_id)
     times = draw_random_times(plan.m_samples, plan.duration, plan.t0, seed)
     samples = sample_at(plan.signal, times, duration=plan.duration, seed=seed)
-
-    tic = time.perf_counter()
     # The matrix kernel places grid point n at time n*interval, so sample
     # times are passed relative to the grid origin.
-    m0 = build(cfg.method, times - plan.t0, plan.interval, plan.n_grid, cfg.p_terms)
+    grid_times = times - plan.t0
+
+    tic = time.perf_counter()
+    m0 = sensing = None
+    if plan.solver == "omp" and cfg.method == "poisson":
+        sensing = poisson_sensing(grid_times, plan.interval, plan.n_grid)
+    else:
+        m0 = build(cfg.method, grid_times, plan.interval, plan.n_grid, cfg.p_terms)
+        if plan.solver == "omp" or plan.tv_init == "spectral":
+            sensing = sensing_matrix(m0)
     build_time = time.perf_counter() - tic
 
     tic = time.perf_counter()
     try:
         if plan.solver == "omp":
-            result = omp_recover(sensing_matrix(m0), samples.values, plan.omp)
+            result = omp_recover(sensing, samples.values, plan.omp)
         else:
-            x_init = None
-            if plan.tv_init == "spectral":
-                x_init = omp_recover(sensing_matrix(m0), samples.values, plan.omp).recovered
+            x_init = None if sensing is None else omp_recover(sensing, samples.values, plan.omp).recovered
             result = tv_recover(m0, samples.values, plan.tv, x_init=x_init)
         error = relative_l2_error(result.recovered, reference.values)
     except (NonConvergenceError, OverSelectionError, SingularSystemError):
         yield RunRecord(run_id, seed, float("nan"), build_time, time.perf_counter() - tic)
         raise
     yield RunRecord(run_id, seed, error, build_time, time.perf_counter() - tic)
+    if m0 is None:
+        m0 = build(cfg.method, grid_times, plan.interval, plan.n_grid, cfg.p_terms)
     yield Reconstruction(run_id, seed, times, samples.values, m0, result, reference, error)
 
 

@@ -1,4 +1,4 @@
-"""Unitary DFT basis applied with ``np.fft``, plus the composed sensing matrix.
+"""Unitary DFT basis applied with ``np.fft``, plus the real sensing matrix.
 
 Convention: forward coefficients are
 ``X[k] = (1/sqrt(N)) sum_n x[n] exp(-2 pi j k n / N)`` for k = 0..N-1, with
@@ -7,11 +7,19 @@ negative frequencies stored at index N-k. This is ``np.fft.fft`` with
 exact inverse, so forward/adjoint round trips are the identity to machine
 precision and Parseval holds without scale factors. Both cost O(N log N) and
 no N x N matrix is formed.
+
+The sensing matrix A = M0 Psi* of a real M0 has a_{N-j} = conj(a_j), so it
+is stored real, M x N: Re a_j for j = 0..N//2, then Im a_j for j = 1, 2, ...
+(the Im parts of DC and even-N Nyquist are zero and left out).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .obs_matrix import _check_args
 
 
 def dft_forward(x) -> np.ndarray:
@@ -24,22 +32,39 @@ def dft_adjoint(coeffs) -> np.ndarray:
     return np.fft.ifft(coeffs, norm="ortho")
 
 
-def sensing_matrix(m0) -> np.ndarray:
-    """Compose an observation matrix with the adjoint DFT.
-
-    Column j of the result is the observation matrix applied to the j-th
-    inverse-transform basis vector, so (result @ dft_forward(x)) equals
-    (m0.entries @ x) for any x. Since the adjoint DFT matrix is symmetric,
-    this is the inverse transform of each row of M0. M0 is real, so that
-    transform is taken by ``np.fft.rfft``: columns 0..N//2 are the conjugate
-    of the half spectrum, and column j > N//2 is the conjugate of column
-    N - j, that is the unconjugated half spectrum read in reverse.
+def poisson_sensing(times, interval: float, n_grid: int) -> np.ndarray:
+    """Real sensing matrix of ``build_poisson(times, interval, n_grid)``: by
+    Poisson summation, the atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T.
+    With u = k + f, k = round(u), phase j u / N is ((j k mod N) + j f) / N,
+    reduced exactly. With B = ceil(sqrt(N//2 + 1)), atom b B + c is the
+    product of a coarse table at j = b B and a fine one at j = c. Times are
+    measured from the grid origin, as for the builders.
     """
-    entries = m0.entries
-    n = entries.shape[1]
-    half = np.fft.rfft(entries, axis=1, norm="ortho")
-    h = half.shape[1]
-    out = np.empty(entries.shape, dtype=complex)
-    np.conjugate(half, out=out[:, :h])
-    out[:, h:] = half[:, n - h : 0 : -1]
-    return out
+    u = _check_args(times, interval, n_grid) / interval
+    k = np.round(u)
+    f = u - k
+    k %= n_grid
+    h = n_grid // 2 + 1
+    b = math.isqrt(h - 1) + 1
+
+    def table(j):
+        return np.exp((2j * np.pi / n_grid) * (np.outer(k, j) % n_grid + np.outer(f, j)))
+
+    fine = table(np.arange(b)) / math.sqrt(n_grid)
+    coarse = table(b * np.arange(-(-h // b)))
+    atoms = (coarse[:, :, None] * fine[:, None, :]).reshape(len(u), -1)[:, :h]
+    return np.concatenate((atoms.real, atoms.imag[:, 1 : n_grid - h + 1]), axis=1)
+
+
+def sensing_matrix(m0) -> np.ndarray:
+    """Real M x N sensing matrix ``m0.entries @ R`` in the layout above, R
+    being the Re and Im parts of the adjoint DFT's columns: from the atoms
+    for a ``poisson`` matrix with finite times, else (e.g. times NaN, as
+    ``load_matrix_csv`` gives) from the real FFT of M0's rows, whose bin j is
+    the conjugate of a_j.
+    """
+    if m0.method == "poisson" and np.isfinite(m0.times).all():
+        return poisson_sensing(m0.times, m0.interval, m0.n_grid)
+    n = m0.n_grid
+    half = np.fft.rfft(m0.entries, axis=1, norm="ortho")
+    return np.concatenate((half.real, -half.imag[:, 1 : n - n // 2]), axis=1)

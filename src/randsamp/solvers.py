@@ -3,9 +3,10 @@
 Two solvers:
 
 * :func:`omp_recover` -- orthogonal matching pursuit for real signals on the
-  sensing matrix A = M0 Psi* of a real M0. Greedily selects the frequency
-  whose (normalized) column best correlates with the residual, takes bins j
-  and N-j, then re-fits all selected frequencies by real least squares.
+  sensing matrix A = M0 Psi* of a real M0, stored real as the columns Re a_j
+  and Im a_j. Greedily selects the frequency whose (normalized) column pair
+  best correlates with the residual, takes bins j and N-j, then re-fits all
+  selected frequencies by real least squares.
 * :func:`tv_recover` -- gradient descent on a smoothed total-variation
   objective, for signals whose variation rather than spectrum is sparse:
   J(x) = 0.5 ||M0 x - y||^2 + lam * sum_n sqrt((x[n+1]-x[n])^2 + eps^2)
@@ -113,21 +114,22 @@ class RecoveryResult:
 def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     """Greedy recovery of the real signal behind real measurements y.
 
-    sensing is the sensing matrix of a real M0 (see
-    :func:`~randsamp.fourier.sensing_matrix`): column N-j is the conjugate of
-    column j, so only columns 0..N//2 are read. A matrix not mirrored so to
-    1e-12 of its largest entry, with real DC and Nyquist columns, raises
+    sensing is the real M x N sensing matrix of a real M0 (see
+    :func:`~randsamp.fourier.sensing_matrix`): Re a_j in columns 0..N//2 and
+    Im a_j, j = 1, 2, ..., in the columns after them. A complex matrix raises
     ValueError. Per iteration: (1) pick the frequency j maximizing
     |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins j and N-j, or
-    one bin for DC and Nyquist; (2) least-squares re-fit y over the real
-    columns Re a_j and Im a_j of the selected frequencies (Re a_j alone for DC
-    and Nyquist); (3) update the real residual. Stops when the support reaches
+    one bin for DC and Nyquist; (2) least-squares re-fit y over the columns
+    Re a_j and Im a_j of the selected frequencies (Re a_j alone for DC and
+    Nyquist); (3) update the real residual. Stops when the support reaches
     cfg.max_atoms bins or the residual drops below cfg.residual_tol * ||y||.
     A support that outgrows the M measurements raises OverSelectionError, and
     a rank-deficient re-fit SingularSystemError. The spectrum is Hermitian by
     construction, and the time-domain output is its inverse real FFT.
     """
     a = np.asarray(sensing)
+    if np.iscomplexobj(a):
+        raise ValueError("sensing matrix must be real, with Re a_j and Im a_j in separate columns")
     y = np.asarray(y, dtype=float)
     m, n = a.shape
     if len(y) != m:
@@ -135,39 +137,34 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     if cfg.max_atoms > n:
         raise ValueError("max_atoms cannot exceed the number of columns")
     h = n // 2 + 1
+    with_im = slice(1, n - h + 1)  # frequencies j with a column Im a_j, at h + j - 1
     self_paired = [0] if n % 2 else [0, n // 2]  # bins that are their own partner
-    # Re and Im of columns 0..N//2 side by side in one contiguous real array,
-    # so that one real matrix-vector product gives every correlation.
-    parts = np.concatenate((a[:, :h].real, a[:, :h].imag), axis=1)
-    tail, mirror = a[:, h:], a[:, n - h : 0 : -1]
-    gap = max(np.abs(tail.real - mirror.real).max(initial=0.0),
-              np.abs(tail.imag + mirror.imag).max(initial=0.0),
-              np.abs(a[:, self_paired].imag).max(initial=0.0))
-    if gap > 1e-12 * np.abs(parts).max(initial=0.0):
-        raise ValueError("sensing matrix columns are not the conjugate pairs of a real M0")
-    sq_norms = np.einsum("ij,ij->j", parts, parts)
-    col_norms = np.sqrt(sq_norms[:h] + sq_norms[h:])
+    sq_norms = np.einsum("ij,ij->j", a, a)
+    sq_norms[with_im] += sq_norms[h:]
+    col_norms = np.sqrt(sq_norms[:h])
     col_norms = np.where(col_norms > 0.0, col_norms, 1.0)
     y_norm = float(np.linalg.norm(y))
     residual = y
+    corr_im = np.zeros(h)
     picked: list[int] = []  # frequencies
     support: list[int] = []  # their DFT bins
-    columns: list[int] = []  # their columns of parts, one per real unknown
+    columns: list[int] = []  # their columns of a, one per real unknown
     coeffs = np.zeros(0)
     history = [y_norm]
 
     while np.linalg.norm(residual) > cfg.residual_tol * y_norm and len(support) < cfg.max_atoms:
-        corr = residual @ parts
-        score = np.hypot(corr[:h], corr[h:]) / col_norms
+        corr = residual @ a
+        corr_im[with_im] = corr[h:]
+        score = np.hypot(corr[:h], corr_im) / col_norms
         score[picked] = -1.0
         pick = int(np.argmax(score))
         picked.append(pick)
         paired = pick not in self_paired
         support += [pick, n - pick] if paired else [pick]
-        columns += [pick, h + pick] if paired else [pick]
+        columns += [pick, h + pick - 1] if paired else [pick]
         if len(support) > m:
             raise OverSelectionError(f"support size {len(support)} exceeds the {m} measurements")
-        a_sub = parts[:, columns]
+        a_sub = a[:, columns]
         coeffs, _, rank, _ = np.linalg.lstsq(a_sub, y, rcond=None)
         if rank < len(columns):
             raise SingularSystemError(support)
@@ -176,9 +173,10 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
 
     # y = sum_j 2 Re(a_j c_j) over the pairs plus a_j c_j at DC and Nyquist,
     # so c_j = (alpha_j - i beta_j) / 2 for the weights of Re a_j and Im a_j.
-    w = np.zeros(2 * h)
+    w = np.zeros(n)
     w[columns] = coeffs
-    half = 0.5 * (w[:h] - 1j * w[h:])
+    half = 0.5 * w[:h] + 0j
+    half.imag[with_im] = -0.5 * w[h:]
     half[self_paired] *= 2.0
     return RecoveryResult(
         recovered=np.fft.irfft(half, n=n, norm="ortho"),

@@ -1,5 +1,6 @@
-"""The explicit unitary DFT matrix: the dense reference that the FFT-based
-transforms in randsamp.fourier are tested against."""
+"""The explicit unitary DFT matrix and the real basis of the sensing-matrix
+layout: the dense references that the FFT-based transforms in randsamp.fourier
+are tested against."""
 
 import numpy as np
 
@@ -11,3 +12,12 @@ def dft_matrix(n: int) -> np.ndarray:
     # matrix is unitary to ~1e-15 even for large n.
     phase = np.mod(np.outer(k, k), n)
     return np.exp((-2j * np.pi / n) * phase) / np.sqrt(n)
+
+
+def real_dft_basis(n: int) -> np.ndarray:
+    """Real n x n basis R with sensing_matrix(m0) == m0.entries @ R: the real
+    parts of columns 0..n//2 of conj(F), then the imaginary parts of columns
+    1..n - n//2 - 1 (those of DC and even-n Nyquist are zero and left out)."""
+    adjoint = dft_matrix(n).conj()
+    h = n // 2 + 1
+    return np.concatenate((adjoint[:, :h].real, adjoint[:, 1 : n - h + 1].imag), axis=1)

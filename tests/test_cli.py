@@ -206,6 +206,33 @@ class TestPipeline:
         assert proc.returncode == 2, proc.stderr
         assert "recovery failed: support size" in proc.stderr
 
+    def test_recover_from_matrix_csv_matches_atom_path(self, run_cli, tmp_path):
+        # A matrix CSV has NaN times, so recover takes the real FFT of M0's
+        # rows; the library fills the same sensing matrix from the times.
+        from randsamp.fourier import poisson_sensing
+        from randsamp.solvers import OmpConfig, omp_recover
+
+        samples = tmp_path / "samples.csv"
+        matrix = tmp_path / "m0.csv"
+        recovered = tmp_path / "recovered.csv"
+        assert run_cli(
+            "sample", "--signal", "trig", "--m", "64", "--duration", "0.32",
+            "--seed", "11", "--out", samples,
+        ).returncode == 0
+        assert run_cli(
+            "build-matrix", "--times", samples, "--interval", "1.25e-3", "--n", "256",
+            "--method", "poisson", "--out", matrix,
+        ).returncode == 0
+        assert run_cli(
+            "recover", "--matrix", matrix, "--measurements", samples, "--solver", "omp",
+            "--out", recovered,
+        ).returncode == 0
+        times = np.array([float(v) for v in read_csv_column(samples, "time")])
+        values = np.array([float(v) for v in read_csv_column(samples, "value")])
+        expected = omp_recover(poisson_sensing(times, 1.25e-3, 256), values, OmpConfig()).recovered
+        got = np.array([float(v) for v in read_csv_column(recovered, "value")])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
     def test_generate_gauspuls_implies_grid(self, run_cli, tmp_path):
         out = tmp_path / "pulse.csv"
         proc = run_cli("generate", "--signal", "gauspuls", "--rate", "1e7", "--out", out)
@@ -258,6 +285,29 @@ class TestUsage:
     def test_experiment_help_documents_presets(self, run_cli):
         proc = run_cli("experiment", "--help")
         assert "trig" in proc.stdout and "gauspuls" in proc.stdout and "square" in proc.stdout
+
+
+class TestMalformedColumnFiles:
+    """A times or measurements CSV that cannot be read is a usage error that
+    names the file, not a traceback."""
+
+    def test_empty_file(self, run_cli, tmp_path):
+        times = tmp_path / "empty.csv"
+        times.write_text("")
+        proc = run_cli("build-matrix", "--times", times, "--interval", "1", "--n", "8", "--out", "m.csv")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("randsamp: error: ")
+        assert str(times) in proc.stderr and "empty" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_row_shorter_than_header(self, run_cli, tmp_path):
+        values = tmp_path / "short.csv"
+        values.write_text("index,time\n0\n")
+        proc = run_cli("build-matrix", "--times", values, "--interval", "1", "--n", "8", "--out", "m.csv")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("randsamp: error: ")
+        assert f"{values}: line 2 has no 'time' field" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from randsamp.experiments import (
     sweep_csv,
     sweep_truncation,
 )
-from randsamp.solvers import NonConvergenceError, OmpConfig, OverSelectionError, TvConfig
+from randsamp.fourier import sensing_matrix
+from randsamp.obs_matrix import build_poisson
+from randsamp.solvers import NonConvergenceError, OmpConfig, OverSelectionError, TvConfig, omp_recover
 
 
 class TestRelativeError:
@@ -215,6 +218,52 @@ class TestReconstructOnce:
     def test_solver_failure_propagates(self):
         with pytest.raises(NonConvergenceError):
             reconstruct_once(diverging_tv_config())
+
+
+class TestSensingWithoutM0:
+    """OMP on a ``poisson`` matrix reads the atoms at the sample times and
+    builds no M0 until a Reconstruction is asked for."""
+
+    def test_batch_builds_no_observation_matrix(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("OMP on a poisson matrix built M0")
+
+        cfg = small_trig_config()
+        monkeypatch.setattr(experiments, "build", no_build)
+        report = run_experiment(cfg)
+        assert report.n_failed == 0 and report.mean_error < 1e-10
+        monkeypatch.undo()
+        outcome = reconstruct_once(cfg, run_id=2)
+        assert outcome.error == report.records[2].error
+        assert outcome.matrix.method == "poisson"
+        plan = resolve_plan(cfg)
+        expected = build_poisson(outcome.times - plan.t0, plan.interval, plan.n_grid)
+        assert np.array_equal(outcome.matrix.entries, expected.entries)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"preset": "trig"},
+            {"preset": "gauspuls"},
+            {"preset": "gauspuls", "sample_rate": 9.99e6},
+            {"preset": "trig", "m_samples": 20},
+        ],
+        ids=["trig", "gauspuls-10MHz", "gauspuls-9.99MHz", "trig-M20"],
+    )
+    def test_same_supports_and_errors_as_m0_path(self, overrides):
+        # The M0 path: build_poisson, then the real FFT of its rows (NaN
+        # times, as a matrix read from CSV has). Trig errors are ~1e-14
+        # rounding, hence the absolute floor.
+        for seed in range(4):
+            cfg = ExperimentConfig(runs=50, master_seed=seed, **overrides)
+            plan = resolve_plan(cfg)
+            for run_id in range(cfg.runs):
+                outcome = reconstruct_once(cfg, run_id)
+                m0 = replace(outcome.matrix, times=np.full(plan.m_samples, np.nan))
+                old = omp_recover(sensing_matrix(m0), outcome.measurements, plan.omp)
+                old_error = relative_l2_error(old.recovered, outcome.reference.values)
+                assert outcome.result.support == old.support, (seed, run_id)
+                assert math.isclose(outcome.error, old_error, rel_tol=1e-9, abs_tol=1e-12), (seed, run_id)
 
 
 class TestSweep:

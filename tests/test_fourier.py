@@ -1,9 +1,12 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, strategies as st
 
-from dft_reference import dft_matrix
-from randsamp.fourier import dft_adjoint, dft_forward, sensing_matrix
+from dft_reference import dft_matrix, real_dft_basis
+from randsamp.fourier import dft_adjoint, dft_forward, poisson_sensing, sensing_matrix
 from randsamp.obs_matrix import build, build_poisson
 from randsamp.signals import TrigSignal, uniform_samples
 from randsamp.solvers import OmpConfig, SingularSystemError, omp_recover
@@ -81,9 +84,12 @@ def test_adjoint_of_symmetric_spectrum_is_real():
 
 
 def test_sensing_matrix_of_on_grid_times_is_adjoint_basis():
-    # on-grid sample times make the observation matrix an identity
-    m0 = build_poisson(np.arange(16.0), 1.0, 16)
-    assert np.allclose(sensing_matrix(m0), dft_matrix(16).conj(), atol=1e-12)
+    # on-grid sample times make the observation matrix an identity, read
+    # through the atoms (poisson) and through the real FFT (naive)
+    for n in (16, 15):
+        for method in ("poisson", "naive"):
+            m0 = build(method, np.arange(float(n)), 1.0, n)
+            assert np.allclose(sensing_matrix(m0), real_dft_basis(n), atol=1e-12)
 
 
 def test_sensing_matrix_composition():
@@ -91,9 +97,10 @@ def test_sensing_matrix_composition():
     times = np.sort(rng.uniform(0.0, 16.0, size=7))
     m0 = build_poisson(times, 1.0, 16)
     a = sensing_matrix(m0)
+    basis = real_dft_basis(16)
     for _ in range(10):
         x = rng.standard_normal(16)
-        lhs = a @ dft_forward(x)
+        lhs = a @ np.linalg.solve(basis, x)
         rhs = m0.entries @ x
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10
 
@@ -120,12 +127,56 @@ def sensing_cases(draw):
     return np.sort(np.array(times)), n
 
 
+@st.composite
+def atom_cases(draw):
+    """(times, interval, N): N in [2, 64] of either parity and M <= 8 times,
+    each on the grid, within 1e-6 of it, or anywhere in [-2N, 3N) grid units,
+    so that times outside one period [0, N T) occur on both sides."""
+    n = draw(st.integers(min_value=2, max_value=64))
+    m = draw(st.integers(min_value=1, max_value=min(8, n)))
+    grid_point = st.integers(-2 * n, 3 * n - 1)
+    offset = st.sampled_from([-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6])
+    near_grid = st.tuples(grid_point, offset).map(sum)
+    anywhere = st.floats(-2.0 * n, 3.0 * n, exclude_max=True)
+    u = draw(st.lists(st.one_of(grid_point.map(float), near_grid, anywhere), min_size=m, max_size=m))
+    interval = draw(st.sampled_from([1.0, 1.0 / 800.0, 1e-7]))
+    return np.array(u) * interval, interval, n
+
+
+class TestPoissonSensing:
+    @given(atom_cases())
+    def test_atoms_match_real_fft_of_closed_form(self, case):
+        times, interval, n = case
+        m0 = build_poisson(times, interval, n)
+        # NaN times, as load_matrix_csv gives, send sensing_matrix to the FFT
+        via_fft = sensing_matrix(replace(m0, times=np.full(len(times), np.nan)))
+        atoms = poisson_sensing(times, interval, n)
+        assert atoms.shape == (len(times), n)
+        assert np.max(np.abs(atoms - via_fft)) <= 1e-12
+        assert np.array_equal(sensing_matrix(m0), atoms)
+
+    def test_phases_reduced_exactly(self):
+        # reference atoms from phases j u mod N taken in exact rational
+        # arithmetic; an unreduced phase 2 pi j u / N (up to ~1e4 rad here)
+        # would carry ~1e-13 of rounding into the atoms
+        n, h = 928, 465
+        u = np.random.default_rng(41).uniform(-4.0 * n, 6.0 * n, size=12)
+        phase = np.array([[float(Fraction(v) * j % n) for j in range(h)] for v in u]) * (2 * np.pi / n)
+        ref = np.concatenate((np.cos(phase), np.sin(phase)[:, 1 : n - h + 1]), axis=1) / np.sqrt(n)
+        assert np.max(np.abs(poisson_sensing(u, 1.0, n) - ref)) <= 2e-15
+
+    def test_argument_validation(self):
+        for times, interval, n in (([np.nan], 1.0, 8), ([], 1.0, 8), ([0.5], 0.0, 8), ([0.5], 1.0, 1)):
+            with pytest.raises(ValueError):
+                poisson_sensing(times, interval, n)
+
+
 class TestAgainstExplicitMatrix:
     @given(sensing_cases(), st.sampled_from(["naive", "truncated", "poisson"]), st.sampled_from([2, 20, 200]))
     def test_sensing_matrix_equals_dense_product(self, case, method, p_terms):
         times, n = case
         m0 = build(method, times, 1.0, n, p_terms=p_terms)
-        dense = m0.entries @ dft_matrix(n).conj()
+        dense = m0.entries @ real_dft_basis(n)
         assert np.max(np.abs(sensing_matrix(m0) - dense)) <= 1e-12
 
     @given(st.integers(min_value=2, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))

@@ -193,10 +193,15 @@ def _read_column(path: str, column: str) -> np.ndarray:
     if column not in header:
         raise UsageError(f"{path}: no {column!r} column in header {header}")
     idx = header.index(column)
+    values = []
     for no, fields in rows[1:]:
         if len(fields) <= idx:
             raise UsageError(f"{path}: line {no} has no {column!r} field")
-    return np.array([float(fields[idx]) for _, fields in rows[1:]])
+        try:
+            values.append(float(fields[idx]))
+        except ValueError:
+            raise UsageError(f"{path}: line {no}: {column!r} field {fields[idx]!r} is not a number") from None
+    return np.array(values)
 
 
 def _cmd_build_matrix(args) -> int:
@@ -315,6 +320,15 @@ def _cmd_sweep_p(args) -> int:
     return EXIT_OK
 
 
+def _add_solver_flags(parser) -> None:
+    parser.add_argument("--max-atoms", type=int, help="OMP support budget")
+    parser.add_argument("--residual-tol", type=float, help="OMP relative residual stop")
+    parser.add_argument("--tv-step", type=float, help="TV step factor (scaled by 1/||M0||^2)")
+    parser.add_argument("--tv-lambda", type=float, help="TV regularization weight")
+    parser.add_argument("--tv-epsilon", type=float, help="TV smoothing epsilon")
+    parser.add_argument("--tv-iters", type=int, help="TV iteration cap")
+
+
 def _add_experiment_flags(parser, default_p_list: bool = False) -> None:
     parser.add_argument("--preset", choices=experiments.PRESETS, required=not default_p_list)
     if default_p_list:
@@ -337,12 +351,7 @@ def _add_experiment_flags(parser, default_p_list: bool = False) -> None:
         default=False,
         help="fill the wall-clock columns (off keeps output byte-reproducible)",
     )
-    parser.add_argument("--max-atoms", type=int, help="OMP support budget")
-    parser.add_argument("--residual-tol", type=float, help="OMP relative residual stop")
-    parser.add_argument("--tv-step", type=float, help="TV step factor (scaled by 1/||M0||^2)")
-    parser.add_argument("--tv-lambda", type=float, help="TV regularization weight")
-    parser.add_argument("--tv-epsilon", type=float, help="TV smoothing epsilon")
-    parser.add_argument("--tv-iters", type=int, help="TV iteration cap")
+    _add_solver_flags(parser)
 
 
 def build_parser() -> _Parser:
@@ -381,13 +390,8 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help="matrix CSV from build-matrix")
     p.add_argument("--measurements", required=True, help="CSV with a 'value' column (e.g. from sample)")
     p.add_argument("--solver", choices=("omp", "tv"), default="omp")
-    p.add_argument("--max-atoms", type=int)
-    p.add_argument("--residual-tol", type=float)
-    p.add_argument("--tv-step", type=float)
-    p.add_argument("--tv-lambda", type=float)
-    p.add_argument("--tv-epsilon", type=float)
-    p.add_argument("--tv-iters", type=int)
-    p.add_argument("--tv-grad-tol", type=float)
+    _add_solver_flags(p)
+    p.add_argument("--tv-grad-tol", type=float, help="TV stop once the gradient norm is at most this")
     _add_common_out(p)
     p.set_defaults(func=_cmd_recover)
 

@@ -10,16 +10,17 @@ no N x N matrix is formed.
 
 The sensing matrix A = M0 Psi* of a real M0 has a_{N-j} = conj(a_j), so it
 is stored real, M x N: Re a_j for j = 0..N//2, then Im a_j for j = 1, 2, ...
-(the Im parts of DC and even-N Nyquist are zero and left out).
+(the Im parts of DC and even-N Nyquist are zero and left out). For a
+``poisson`` M0 the atoms a_j = e^{2 pi i j u / N} / sqrt(N), u = t / T, are
+the one closed form: ``obs_matrix.build_poisson`` is their inverse real FFT,
+and :func:`poisson_sensing` lays the same table out here.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .obs_matrix import _check_args
+from .obs_matrix import _poisson_atoms
 
 
 def dft_forward(x) -> np.ndarray:
@@ -34,26 +35,12 @@ def dft_adjoint(coeffs) -> np.ndarray:
 
 def poisson_sensing(times, interval: float, n_grid: int) -> np.ndarray:
     """Real sensing matrix of ``build_poisson(times, interval, n_grid)``: by
-    Poisson summation, the atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T.
-    With u = k + f, k = round(u), phase j u / N is ((j k mod N) + j f) / N,
-    reduced exactly. With B = ceil(sqrt(N//2 + 1)), atom b B + c is the
-    product of a coarse table at j = b B and a fine one at j = c. Times are
-    measured from the grid origin, as for the builders.
+    Poisson summation, the atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T,
+    with phases reduced exactly. Times are measured from the grid origin, as
+    for the builders.
     """
-    u = _check_args(times, interval, n_grid) / interval
-    k = np.round(u)
-    f = u - k
-    k %= n_grid
-    h = n_grid // 2 + 1
-    b = math.isqrt(h - 1) + 1
-
-    def table(j):
-        return np.exp((2j * np.pi / n_grid) * (np.outer(k, j) % n_grid + np.outer(f, j)))
-
-    fine = table(np.arange(b)) / math.sqrt(n_grid)
-    coarse = table(b * np.arange(-(-h // b)))
-    atoms = (coarse[:, :, None] * fine[:, None, :]).reshape(len(u), -1)[:, :h]
-    return np.concatenate((atoms.real, atoms.imag[:, 1 : n_grid - h + 1]), axis=1)
+    atoms = _poisson_atoms(times, interval, n_grid)
+    return np.concatenate((atoms.real, atoms.imag[:, 1 : n_grid - n_grid // 2]), axis=1)
 
 
 def sensing_matrix(m0) -> np.ndarray:

@@ -21,13 +21,12 @@ does not start at zero).
 * ``poisson``   -- the exact periodization in closed form: the Dirichlet
                    kernel sin(pi theta) / (N tan(pi theta / N)) for even N,
                    sin(pi theta) / (N sin(pi theta / N)) for odd N, with no
-                   inner summation. It is separable in (m, n): the numerator
-                   sine is a row factor times the column sign (-1)^n, and
-                   sin(pi theta / N) and cos(pi theta / N) follow by angle
-                   subtraction from row and column tables. A build takes
-                   M + N transcendentals plus a few elementwise M x N passes,
-                   and overwrites one near-singular entry per row with
-                   :func:`periodized_sinc`.
+                   inner summation. By Poisson summation, row m is the
+                   inverse DFT of the Fourier atoms e^{2 pi i j u_m / N} /
+                   sqrt(N) at u_m = t_m / T, so a build is one inverse real
+                   FFT of the atom table that ``fourier.poisson_sensing``
+                   reads, whose phases are reduced exactly.
+                   :func:`periodized_sinc` evaluates the same kernel pointwise.
 """
 
 from __future__ import annotations
@@ -187,43 +186,45 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
     return ObservationMatrix(entries, "truncated", times, interval, n_grid, p_terms=p_terms)
 
 
-def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
-    """Exact periodized sinc matrix via the closed-form kernel, for either parity of n_grid.
-
-    With u_m = t_m / T = k_m + f_m, k_m = round(u_m) and |f_m| <= 1/2 (both
-    exact), the numerator is sin(pi theta) = (-1)^(k_m - n) sin(pi f_m), and
-    angle subtraction gives
-    sin(pi theta / N) = sin(pi u_m / N) cos(pi n / N) - cos(pi u_m / N) sin(pi n / N)
-    (and cos(pi theta / N), which even N also needs, likewise). So a build
-    evaluates M + N sines and cosines, and its M x N work is one pass per
-    angle-subtraction formula plus a divide. In each row only column
-    k_m mod N has theta within 1/2 of a multiple of N; that one entry is
-    overwritten with periodized_sinc(f_m, N), which owns the singular limit.
-    Every other entry has |sin(pi theta / N)| >= sin(pi / 2N), so the
-    ~1e-16 absolute error of the subtraction stays below ~N * 1e-16.
+def _poisson_atoms(times, interval: float, n_grid: int) -> np.ndarray:
+    """Complex M x (N//2 + 1) Fourier atoms e^{2 pi i j u / N} / sqrt(N) at
+    u = t / T, j = 0..N//2. With u = k + f, k = round(u), phase j u / N is
+    ((j k mod N) + j f) / N, reduced exactly. With B = ceil(sqrt(N//2 + 1)),
+    atom b B + c is the product of a coarse table at j = b B and a fine one
+    at j = c.
     """
-    times = _check_args(times, interval, n_grid)
-    u = times / interval
+    u = _check_args(times, interval, n_grid) / interval
     k = np.round(u)
     f = u - k
-    row = np.sin(np.pi * f) / n_grid
-    row[k % 2 != 0] *= -1.0
-    col = np.arange(n_grid)
-    su, cu = np.sin(np.pi / n_grid * u), np.cos(np.pi / n_grid * u)
-    cos_sin_n = np.stack([np.cos(np.pi / n_grid * col), np.sin(np.pi / n_grid * col)])
-    # Each M x N product below is one einsum pass over a two-term sum of
-    # row x column products: elementwise, so no BLAS threads wake, and with
-    # no M x N array per term. The column sign rides on the denominator,
-    # which is (-1)^n sin(pi theta / N).
-    entries = np.einsum("ki,kj->ij", np.stack([su, -cu]), cos_sin_n * (1.0 - 2.0 * (col % 2)))
-    # On-grid rows give 0/0 at their overwritten entry.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if n_grid % 2:
-            np.divide(row[:, None], entries, out=entries)
-        else:
-            numerator = np.einsum("ki,kj->ij", np.stack([cu, su]) * row, cos_sin_n)
-            np.divide(numerator, entries, out=entries)
-    entries[np.arange(len(u)), (k % n_grid).astype(int)] = periodized_sinc(f, n_grid)
+    k %= n_grid
+    h = n_grid // 2 + 1
+    b = math.isqrt(h - 1) + 1
+
+    def table(j):
+        return np.exp((2j * np.pi / n_grid) * (np.outer(k, j) % n_grid + np.outer(f, j)))
+
+    fine = table(np.arange(b)) / math.sqrt(n_grid)
+    coarse = table(b * np.arange(-(-h // b)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(u), -1)[:, :h]
+
+
+def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
+    """Exact periodized sinc matrix, for either parity of n_grid.
+
+    By Poisson summation, row m is the inverse DFT of the Fourier atoms
+    e^{2 pi i j u_m / N} / sqrt(N) at u_m = t_m / T, conjugated:
+    (1/N) sum_j e^{2 pi i j (u_m - n) / N} over the N frequencies nearest 0,
+    the Nyquist term read as cos(pi (u_m - n)) for even N. So M0 is the
+    inverse real FFT of the atoms that ``fourier.poisson_sensing`` lays out,
+    whose phases are reduced exactly. Rows with u_m an exact integer are set
+    to the exact unit vector, where the FFT leaves ~1e-17 off the diagonal.
+    """
+    times = _check_args(times, interval, n_grid)
+    entries = np.fft.irfft(_poisson_atoms(times, interval, n_grid).conj(), n=n_grid, norm="ortho")
+    u = times / interval
+    on_grid = np.flatnonzero(u == np.round(u))
+    entries[on_grid] = 0.0
+    entries[on_grid, (u[on_grid] % n_grid).astype(int)] = 1.0
     return ObservationMatrix(entries, "poisson", times, interval, n_grid)
 
 

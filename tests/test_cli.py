@@ -282,6 +282,11 @@ class TestUsage:
             assert proc.returncode == 0
             assert "--out" in proc.stdout
 
+    def test_recover_help_documents_solver_flags(self, run_cli):
+        proc = run_cli("recover", "--help")
+        assert proc.returncode == 0
+        assert "OMP support budget" in proc.stdout
+
     def test_experiment_help_documents_presets(self, run_cli):
         proc = run_cli("experiment", "--help")
         assert "trig" in proc.stdout and "gauspuls" in proc.stdout and "square" in proc.stdout
@@ -307,6 +312,15 @@ class TestMalformedColumnFiles:
         assert proc.returncode == 1
         assert proc.stderr.startswith("randsamp: error: ")
         assert f"{values}: line 2 has no 'time' field" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_numeric_field(self, run_cli, tmp_path):
+        times = tmp_path / "bad.csv"
+        times.write_text("index,time\n0,0.5\n1,abc\n")
+        proc = run_cli("build-matrix", "--times", times, "--interval", "1", "--n", "8", "--out", "m.csv")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("randsamp: error: ")
+        assert f"{times}: line 3: 'time' field 'abc' is not a number" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -143,8 +144,8 @@ class TestBuilders:
         assert np.max(np.abs(m0.entries - expected)) < 1e-12
 
     def test_poisson_grid_hits_are_exact_unit_vectors_without_runtime_warning(self):
-        # Each row's numerator sine is exactly 0 off its one overwritten
-        # entry, and that entry's 0/0 is overwritten with the limit 1.
+        # Rows whose u = t / T is an exact integer are set to the exact unit
+        # vector at column u mod N.
         for n in (8, 9):
             times = np.array([0.0, 3.0, 7.0, -n, n, 2 * n - 1])
             with warnings.catch_warnings():
@@ -322,6 +323,33 @@ class TestClosedFormAgainstKernel:
             warnings.simplefilter("error", RuntimeWarning)
             entries = build_poisson(times, interval, n).entries
         assert np.max(np.abs(entries - periodized_sinc(theta, n))) <= 1e-12
+
+
+def exact_phase_row(u, n):
+    """Row of the periodized sinc at u on a grid of N = n points: entry c is
+    (1/N) times the fsum of 1, of 2 cos(2 pi ((k (u - c)) mod N) / N) for
+    k = 1..(N-1)//2, and of cos(pi fmod(u - c, 2)) for even N. With u carrying
+    at most 10 fractional bits and |u - c| < 2N, k (u - c) and its reductions
+    are exact in float64, so each cosine is taken of an exactly reduced phase."""
+    k = np.arange(1, (n - 1) // 2 + 1, dtype=float)
+    row = []
+    for col in range(n):
+        d = u - col
+        terms = [1.0, *(2.0 * np.cos(2.0 * np.pi * np.mod(k * d, n) / n))]
+        if n % 2 == 0:
+            terms.append(math.cos(math.pi * math.fmod(d, 2.0)))
+        row.append(math.fsum(terms) / n)
+    return np.array(row)
+
+
+class TestClosedFormAgainstExactPhases:
+    @pytest.mark.parametrize("n", [927, 928])
+    def test_matches_exact_phase_reference(self, n):
+        rng = np.random.default_rng(n)
+        u = rng.integers(-n * 1024, 2 * n * 1024, size=6) / 1024.0
+        entries = build_poisson(u, 1.0, n).entries
+        reference = np.array([exact_phase_row(v, n) for v in u])
+        assert np.max(np.abs(entries - reference)) <= 2e-15
 
 
 class TestAgainstTruncationOracle:

@@ -217,7 +217,10 @@ def _cmd_build_matrix(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    matrix = obs_matrix.load_matrix_csv(args.matrix)
+    try:
+        matrix = obs_matrix.load_matrix_csv(args.matrix)
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.matrix}: {exc}") from exc
     y = _read_column(args.measurements, "value")
     omp_fields, tv_fields = _solver_fields(args)
     try:
@@ -284,7 +287,7 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
 
 def _cmd_experiment(args) -> int:
     cfg = _experiment_config(args)
-    report = experiments.run_experiment(cfg, jobs=args.jobs)
+    report = experiments.run_experiment(cfg)
     text = (
         experiments.report_csv(report, include_timings=args.timings)
         if args.format == "csv"
@@ -309,7 +312,7 @@ def _cmd_sweep_p(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--p-list must be comma-separated integers: {exc}") from exc
     cfg = _experiment_config(args)
-    rows = experiments.sweep_truncation(cfg, p_list, jobs=args.jobs)
+    rows = experiments.sweep_truncation(cfg, p_list)
     out = _resolve_out(args.out)
     _emit(experiments.sweep_csv(rows, include_timings=args.timings), out)
     if out is not None:
@@ -344,7 +347,6 @@ def _add_experiment_flags(parser, default_p_list: bool = False) -> None:
     parser.add_argument("--m", type=int, help="number of random samples (default: preset)")
     parser.add_argument("--n", type=int, help="grid length (default: preset)")
     parser.add_argument("--rate", type=float, help="grid sample rate in Hz (default: preset)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel runs; output is identical for any value")
     parser.add_argument(
         "--timings",
         action=argparse.BooleanOptionalAction,
@@ -406,6 +408,7 @@ def build_parser() -> _Parser:
         epilog=preset_values,
     )
     _add_experiment_flags(p)
+    p.add_argument("--jobs", type=int, default=1, help="ignored, kept for compatibility: runs are serial")
     _add_common_out(p)
     p.set_defaults(func=_cmd_experiment)
 

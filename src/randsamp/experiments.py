@@ -2,7 +2,7 @@
 
 A run is fully determined by (master_seed, run_index): per-run seeds come
 from a SplitMix64-style mix, so runs are independent random streams and batch
-results do not depend on execution order or parallelism.
+results do not depend on execution order. Every batch runs serially.
 
 Builds and solves are timed separately with a monotonic wall clock. Timing
 values are real measurements and therefore vary between invocations; the CSV
@@ -16,7 +16,6 @@ import json
 import math
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -113,6 +112,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.m_samples is not None and self.m_samples < 1:
+            raise ValueError(f"m_samples must be at least 1, got {self.m_samples}")
+        if self.n_grid is not None and self.n_grid < 2:
+            raise ValueError(f"n_grid must be at least 2, got {self.n_grid}")
+        if self.sample_rate is not None and not 0.0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
 
 
 # Solver settings used by the presets. The trig stopping rule covers the
@@ -159,30 +164,35 @@ def _fit_default_budget(omp: OmpConfig, m: int, n: int) -> OmpConfig:
     return omp if cap == omp.max_atoms else replace(omp, max_atoms=cap)
 
 
+def _given_or(value, default):
+    """default when value is unset (None), else value."""
+    return default if value is None else value
+
+
 def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
     """Apply preset defaults and overrides to a concrete run plan."""
     if cfg.preset == "trig":
         signal = TrigSignal()
-        rate = cfg.sample_rate or 800.0
-        m = cfg.m_samples or 64
-        n = cfg.n_grid or 256
+        rate = _given_or(cfg.sample_rate, 800.0)
+        m = _given_or(cfg.m_samples, 64)
+        n = _given_or(cfg.n_grid, 256)
         t0 = 0.0
         solver = cfg.solver or "omp"
         omp = cfg.omp or _fit_default_budget(TRIG_OMP, m, n)
         tv = cfg.tv or TvConfig()
     elif cfg.preset == "gauspuls":
         signal = GaussPulseSignal()
-        rate = cfg.sample_rate or 10e6
-        m = cfg.m_samples or 93
-        n = cfg.n_grid or signal.grid_points(rate)
+        rate = _given_or(cfg.sample_rate, 10e6)
+        m = _given_or(cfg.m_samples, 93)
+        n = _given_or(cfg.n_grid, signal.grid_points(rate))
         t0 = -signal.cutoff_time
         solver = cfg.solver or "omp"
         omp = cfg.omp or _fit_default_budget(GAUSPULS_OMP, m, n)
         tv = cfg.tv or TvConfig()
     else:  # square
-        rate = cfg.sample_rate or 240.0
-        m = cfg.m_samples or 80
-        n = cfg.n_grid or 240
+        rate = _given_or(cfg.sample_rate, 240.0)
+        m = _given_or(cfg.m_samples, 80)
+        n = _given_or(cfg.n_grid, 240)
         # Two full periods across the grid, edges on grid points.
         signal = SquareSignal(period=n / (2.0 * rate), duty=0.5, amplitude=1.0)
         t0 = 0.0
@@ -319,23 +329,14 @@ def reconstruct_once(cfg: ExperimentConfig, run_id: int = 0) -> Reconstruction:
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Run cfg.runs seeded repetitions and aggregate them.
+    """Run cfg.runs seeded repetitions, one after another, and aggregate them.
 
-    jobs > 1 executes runs in a thread pool; results are identical to the
-    sequential order because every run derives its own seed. A run whose
-    solver fails is recorded with error NaN.
+    A run whose solver fails is recorded with error NaN. jobs is ignored and
+    kept only so that existing callers passing it keep working.
     """
     plan = resolve_plan(cfg)
     reference = uniform_samples(plan.signal, plan.n_grid, plan.interval, plan.t0)
-
-    def run_record(run_id: int) -> RunRecord:
-        return next(_run(cfg, plan, reference, run_id))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_record, range(cfg.runs)))
-    else:
-        records = [run_record(i) for i in range(cfg.runs)]
+    records = [next(_run(cfg, plan, reference, i)) for i in range(cfg.runs)]
     return ExperimentReport(
         preset=cfg.preset,
         method=cfg.method,
@@ -348,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     )
 
 
-def sweep_truncation(cfg: ExperimentConfig, p_list, jobs: int = 1):
+def sweep_truncation(cfg: ExperimentConfig, p_list):
     """Run the experiment once per truncation length plus a closed-form
     baseline row.
 
@@ -362,7 +363,7 @@ def sweep_truncation(cfg: ExperimentConfig, p_list, jobs: int = 1):
     # Every config is built, and so every P validated, before the first run.
     configs = [replace(cfg, method="truncated", p_terms=p) for p in p_list]
     configs.append(replace(cfg, method="poisson", p_terms=None))
-    return [(c.p_terms, run_experiment(c, jobs=jobs)) for c in configs]
+    return [(c.p_terms, run_experiment(c)) for c in configs]
 
 
 def _fmt(value: float) -> str:

@@ -261,20 +261,47 @@ def save_matrix_csv(matrix: ObservationMatrix, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _csv_float(path, line_no: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {line_no}: entry {text!r} is not a number") from None
+
+
 def load_matrix_csv(path) -> ObservationMatrix:
     """Read a matrix written by :func:`save_matrix_csv`.
 
     The layout stores entries and tags only, so ``times`` and ``interval``
-    come back as NaN placeholders.
+    come back as NaN placeholders. A file that breaks the layout raises
+    ValueError naming the file and, where there is one, the line.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "M,N,method,P":
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != "M,N,method,P":
         raise ValueError(f"{path}: not a matrix CSV (missing M,N,method,P header)")
-    m_str, n_str, method, p_str = lines[1].split(",")
-    m, n = int(m_str), int(n_str)
-    p = int(p_str) if p_str else None
-    entries = np.array([[float(v) for v in ln.split(",")] for ln in lines[2 : 2 + m]])
-    if entries.shape != (m, n):
-        raise ValueError(f"{path}: expected {m}x{n} entries, found {entries.shape}")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: line {lines[0][0]}: header is not followed by the M,N,method,P values")
+    no, meta = lines[1]
+    fields = meta.split(",")
+    if len(fields) != 4:
+        raise ValueError(f"{path}: line {no}: expected the 4 values M,N,method,P, found {len(fields)}")
+    m_str, n_str, method, p_str = fields
+    try:
+        m, n = int(m_str), int(n_str)
+        p = int(p_str) if p_str else None
+    except ValueError:
+        raise ValueError(f"{path}: line {no}: M, N and P must be integers, got {meta!r}") from None
+    if m < 1 or n < 1 or method not in METHODS:
+        raise ValueError(f"{path}: line {no}: expected M, N >= 1 and a method in {METHODS}, got {meta!r}")
+    rows = lines[2:]
+    if len(rows) != m:
+        # the first row past M, or the file's last line when rows are missing
+        no = rows[m][0] if len(rows) > m else lines[-1][0]
+        raise ValueError(f"{path}: line {no}: expected {m} matrix rows, found {len(rows)}")
+    entries = np.empty((m, n))
+    for i, (no, row) in enumerate(rows):
+        values = row.split(",")
+        if len(values) != n:
+            raise ValueError(f"{path}: line {no}: expected {n} entries, found {len(values)}")
+        entries[i] = [_csv_float(path, no, v) for v in values]
     return ObservationMatrix(entries, method, np.full(m, np.nan), float("nan"), n, p_terms=p)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv_column(path, name):
@@ -102,6 +108,15 @@ class TestExperimentCommand:
         assert aggregates["mean_build_time_s"] is None
         assert aggregates["mean_solve_time_s"] is None
         assert aggregates["n_failed"] == 2
+
+    def test_zero_or_negative_size_flags_exit_1(self, run_cli):
+        # A given 0 is an invalid size, not "unset": no fallback to the preset's.
+        for flag, value, field in (("--m", "0", "m_samples"), ("--n", "0", "n_grid"),
+                                   ("--rate", "0", "sample_rate"), ("--rate", "-5", "sample_rate")):
+            proc = run_cli("experiment", "--preset", "trig", "--runs", "1", flag, value)
+            assert proc.returncode == 1, (flag, value, proc.stdout)
+            assert proc.stderr.startswith(f"randsamp: error: {field} must be")
+            assert proc.stdout == ""
 
     def test_solver_override_flags(self, run_cli, tmp_path):
         out = tmp_path / "r.csv"
@@ -324,6 +339,29 @@ class TestMalformedColumnFiles:
         assert "Traceback" not in proc.stderr
 
 
+class TestMalformedMatrixFiles:
+    """A matrix CSV that cannot be read or parsed is a usage error, not a traceback."""
+
+    def recover(self, run_cli, tmp_path, matrix):
+        values = tmp_path / "y.csv"
+        values.write_text("index,value\n0,1.0\n")
+        return run_cli("recover", "--matrix", matrix, "--measurements", values)
+
+    def test_missing_file(self, run_cli, tmp_path):
+        proc = self.recover(run_cli, tmp_path, tmp_path / "nope.csv")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"randsamp: error: cannot read {tmp_path / 'nope.csv'}")
+        assert "Traceback" not in proc.stderr
+
+    def test_header_only(self, run_cli, tmp_path):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("M,N,method,P\n")
+        proc = self.recover(run_cli, tmp_path, matrix)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"randsamp: error: {matrix}: line 1: ")
+        assert "Traceback" not in proc.stderr
+
+
 class TestConfigFile:
     def test_flags_win_over_config(self, run_cli, tmp_path):
         config = tmp_path / "run.cfg"
@@ -407,3 +445,18 @@ class TestExperimentConfig:
         # the preset budget is first fitted to the overridden M
         cfg = self.config("--preset", "gauspuls", "--m", "10", "--residual-tol", "1e-6")
         assert cfg.omp == OmpConfig(max_atoms=9, residual_tol=1e-6)
+
+
+
+class TestImports:
+    def test_package_loads_no_thread_pool(self):
+        # Batches run serially, so importing the package or its CLI pulls in
+        # neither concurrent.futures nor the logging module it imports.
+        code = (
+            "import sys, randsamp, randsamp.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

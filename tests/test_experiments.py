@@ -105,6 +105,15 @@ class TestResolvePlan:
         with pytest.raises(ValueError):
             ExperimentConfig(preset="trig", solver="cg")
 
+    @pytest.mark.parametrize(
+        "field, value", [("m_samples", 0), ("n_grid", 0), ("n_grid", 1), ("sample_rate", 0.0),
+                         ("sample_rate", -5.0)]
+    )
+    def test_zero_or_negative_override_rejected_not_defaulted(self, field, value):
+        # A given 0 is an invalid size, not "unset": no fallback to M=80, N=240.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            resolve_plan(ExperimentConfig(preset="square", **{field: value}))
+
     @pytest.mark.parametrize("p_terms", [0, -2, -4, 3, 1])
     def test_rejects_bad_truncation_length(self, p_terms):
         with pytest.raises(ValueError, match="even integer >= 2"):

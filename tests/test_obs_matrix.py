@@ -434,3 +434,26 @@ class TestCsvInterchange:
         path.write_text("time,value\n0.0,1.0\n")
         with pytest.raises(ValueError):
             load_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("", "line 1: header is not followed by the M,N,method,P values"),
+            ("1,2\n", "line 2: expected the 4 values M,N,method,P, found 2"),
+            ("2,3,poisson,\n1,2,3\n1,2\n", "line 4: expected 3 entries, found 2"),
+            ("1,2,poisson,\n1,abc\n", "line 3: entry 'abc' is not a number"),
+            ("1,2,poisson,\n1,2\n3,4\n", "line 4: expected 1 matrix rows, found 2"),
+            ("2,2,poisson,\n1,2\n", "line 3: expected 2 matrix rows, found 1"),
+            ("x,2,poisson,\n", "line 2: M, N and P must be integers, got 'x,2,poisson,'"),
+            ("1,2,sinc,\n1,2\n", "line 2: expected M, N >= 1 and a method in "
+                                   "('naive', 'truncated', 'poisson'), got '1,2,sinc,'"),
+        ],
+        ids=["header-only", "short-metadata", "short-row", "non-numeric", "extra-rows",
+             "missing-rows", "non-integer-size", "unknown-method"],
+    )
+    def test_malformed_file_names_file_and_line(self, tmp_path, body, where):
+        path = tmp_path / "bad.csv"
+        path.write_text("M,N,method,P\n" + body)
+        with pytest.raises(ValueError) as info:
+            load_matrix_csv(path)
+        assert str(info.value) == f"{path}: {where}"

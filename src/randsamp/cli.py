@@ -10,7 +10,7 @@ RANDSAMP_OUT_DIR is set, relative ``--out`` paths are placed inside it.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, obs_matrix, signals, solvers
-from .experiments import _fmt
+from .experiments import _fmt, _json
 from .fourier import sensing_matrix
 
 EXIT_OK = 0
@@ -137,12 +137,14 @@ def _series_csv(header: str, columns) -> str:
 
 def _cmd_generate(args) -> int:
     signal = _make_signal(args)
-    interval = 1.0 / args.rate if args.rate else args.interval
+    if args.rate is not None and not 0.0 < args.rate < math.inf:
+        raise UsageError(f"--rate must be positive and finite, got {args.rate}")
+    interval = 1.0 / args.rate if args.rate is not None else args.interval
     if interval is None:
         raise UsageError("generate needs --rate or --interval")
     t0 = _signal_t0(args, signal)
     n = args.n
-    if n is None and isinstance(signal, signals.GaussPulseSignal) and args.rate:
+    if n is None and isinstance(signal, signals.GaussPulseSignal) and args.rate is not None:
         n = signal.grid_points(args.rate)
     if n is None:
         raise UsageError("generate needs --n (it is implied only for gauspuls with --rate)")
@@ -150,11 +152,7 @@ def _cmd_generate(args) -> int:
     if args.format == "csv":
         text = _series_csv("time,value", (grid.times, grid.values))
     else:
-        text = json.dumps(
-            {"interval": interval, "origin": t0, "values": list(map(float, grid.values))},
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        text = _json({"interval": interval, "origin": t0, "values": list(map(float, grid.values))})
     _emit(text, _resolve_out(args.out))
     return EXIT_OK
 
@@ -167,16 +165,14 @@ def _cmd_sample(args) -> int:
     if args.format == "csv":
         text = _series_csv("time,value", (sample.times, sample.values))
     else:
-        text = json.dumps(
+        text = _json(
             {
                 "seed": args.seed,
                 "duration": args.duration,
                 "times": list(map(float, sample.times)),
                 "values": list(map(float, sample.values)),
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+            }
+        )
     _emit(text, _resolve_out(args.out))
     return EXIT_OK
 
@@ -198,21 +194,23 @@ def _read_column(path: str, column: str) -> np.ndarray:
         if len(fields) <= idx:
             raise UsageError(f"{path}: line {no} has no {column!r} field")
         try:
-            values.append(float(fields[idx]))
+            value = float(fields[idx])
         except ValueError:
             raise UsageError(f"{path}: line {no}: {column!r} field {fields[idx]!r} is not a number") from None
+        if not math.isfinite(value):
+            raise UsageError(f"{path}: line {no}: {column!r} field {fields[idx]!r} is not finite")
+        values.append(value)
     return np.array(values)
 
 
 def _cmd_build_matrix(args) -> int:
+    if args.out is None:
+        raise UsageError("build-matrix needs --out (matrix CSV is not written to stdout)")
     times = _read_column(args.times, "time") - args.t0
     if args.method == "truncated" and args.p_terms is None:
         raise UsageError("--method truncated needs --p-terms")
     matrix = obs_matrix.build(args.method, times, args.interval, args.n, args.p_terms)
-    out = _resolve_out(args.out)
-    if out is None:
-        raise UsageError("build-matrix needs --out (matrix CSV is not written to stdout)")
-    obs_matrix.save_matrix_csv(matrix, out)
+    obs_matrix.save_matrix_csv(matrix, _resolve_out(args.out))
     return EXIT_OK
 
 
@@ -234,16 +232,14 @@ def _cmd_recover(args) -> int:
     if args.format == "csv":
         text = _series_csv("index,value", (np.arange(len(result.recovered)), result.recovered))
     else:
-        text = json.dumps(
+        text = _json(
             {
                 "values": list(map(float, result.recovered)),
                 "support": result.support,
                 "iterations": result.iterations,
                 "final_residual": result.final_residual,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+            }
+        )
     _emit(text, _resolve_out(args.out))
     return EXIT_OK
 
@@ -285,25 +281,24 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
     )
 
 
-def _cmd_experiment(args) -> int:
-    cfg = _experiment_config(args)
-    report = experiments.run_experiment(cfg)
-    text = (
-        experiments.report_csv(report, include_timings=args.timings)
-        if args.format == "csv"
-        else experiments.report_json(report, include_timings=args.timings)
-    )
-    out = _resolve_out(args.out)
+def _emit_reports(text: str, out_arg: str | None, summary: str, reports) -> int:
+    """Write a report text, name the file written, and exit 2 when every run
+    of every report failed."""
+    out = _resolve_out(out_arg)
     _emit(text, out)
     if out is not None:
-        print(
-            f"{out}: {len(report.records)} runs, mean_error={_fmt(report.mean_error)}, "
-            f"failed={report.n_failed}"
-        )
-    if report.n_failed == len(report.records):
+        print(f"{out}: {summary}")
+    if all(report.n_failed == len(report.records) for report in reports):
         print("all runs failed", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
+
+
+def _cmd_experiment(args) -> int:
+    report = experiments.run_experiment(_experiment_config(args))
+    write = experiments.report_csv if args.format == "csv" else experiments.report_json
+    summary = f"{len(report.records)} runs, mean_error={_fmt(report.mean_error)}, failed={report.n_failed}"
+    return _emit_reports(write(report, include_timings=args.timings), args.out, summary, [report])
 
 
 def _cmd_sweep_p(args) -> int:
@@ -311,16 +306,9 @@ def _cmd_sweep_p(args) -> int:
         p_list = [int(tok) for tok in args.p_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"--p-list must be comma-separated integers: {exc}") from exc
-    cfg = _experiment_config(args)
-    rows = experiments.sweep_truncation(cfg, p_list)
-    out = _resolve_out(args.out)
-    _emit(experiments.sweep_csv(rows, include_timings=args.timings), out)
-    if out is not None:
-        print(f"{out}: {len(rows)} rows")
-    if all(report.n_failed == len(report.records) for _, report in rows):
-        print("all runs failed", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    rows = experiments.sweep_truncation(_experiment_config(args), p_list)
+    text = experiments.sweep_csv(rows, include_timings=args.timings)
+    return _emit_reports(text, args.out, f"{len(rows)} rows", [report for _, report in rows])
 
 
 def _add_solver_flags(parser) -> None:

@@ -371,73 +371,61 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _report_rows(report: ExperimentReport, include_timings: bool):
-    p = "" if report.p_terms is None else str(report.p_terms)
-    for r in report.records:
-        yield [
-            str(r.run_id),
-            str(r.seed),
-            report.preset,
-            report.method,
-            p,
-            str(report.m_samples),
-            str(report.n_grid),
-            _fmt(r.error),
-            _fmt(r.build_time_s) if include_timings else "",
-            _fmt(r.solve_time_s) if include_timings else "",
-        ]
-    yield [
-        "mean",
-        "",
-        report.preset,
-        report.method,
-        p,
-        str(report.m_samples),
-        str(report.n_grid),
-        _fmt(report.mean_error),
-        _fmt(report.mean_build_time_s) if include_timings else "",
-        _fmt(report.mean_solve_time_s) if include_timings else "",
-    ]
+def _json(doc) -> str:
+    """doc as strict JSON with sorted keys and a trailing newline; a NaN or
+    infinite float raises ValueError instead of being written."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _rows(report: ExperimentReport, include_timings: bool) -> list[tuple]:
+    """The values every report writer reads: (run_id, seed, error,
+    build_time_s, solve_time_s) per record, then the aggregate row ("mean",
+    "", and the means over the successful runs). Timings are None unless
+    include_timings."""
+    rows = [(r.run_id, r.seed, r.error, r.build_time_s, r.solve_time_s) for r in report.records]
+    rows.append(("mean", "", report.mean_error, report.mean_build_time_s, report.mean_solve_time_s))
+    return rows if include_timings else [row[:3] + (None, None) for row in rows]
+
+
+def _cell(value) -> str:
+    """A CSV field: floats as :func:`_fmt`, None as empty."""
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def report_csv(report: ExperimentReport, include_timings: bool = False) -> str:
     """Per-run rows plus a trailing aggregate row (run_id == 'mean')."""
+    p = "" if report.p_terms is None else report.p_terms
     lines = [CSV_HEADER]
-    lines.extend(",".join(row) for row in _report_rows(report, include_timings))
+    for run_id, seed, *values in _rows(report, include_timings):
+        row = (run_id, seed, report.preset, report.method, p, report.m_samples, report.n_grid, *values)
+        lines.append(",".join(map(_cell, row)))
     return "\n".join(lines) + "\n"
 
 
 def report_json(report: ExperimentReport, include_timings: bool = False) -> str:
     """JSON variant of the CSV schema, with aggregates; NaN values become null."""
-
-    def _clean(value):
-        return None if math.isnan(value) else value
-
-    doc = {
-        "signal": report.preset,
-        "method": report.method,
-        "p_terms": report.p_terms,
-        "m_samples": report.m_samples,
-        "n_grid": report.n_grid,
-        "master_seed": report.master_seed,
-        "runs": [
-            {
-                "run_id": r.run_id,
-                "seed": r.seed,
-                "error": _clean(r.error),
-                "build_time_s": r.build_time_s if include_timings else None,
-                "solve_time_s": r.solve_time_s if include_timings else None,
-            }
-            for r in report.records
-        ],
-        "aggregates": {
-            "mean_error": _clean(report.mean_error),
-            "mean_build_time_s": _clean(report.mean_build_time_s) if include_timings else None,
-            "mean_solve_time_s": _clean(report.mean_solve_time_s) if include_timings else None,
-            "n_failed": report.n_failed,
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    fields = ("run_id", "seed", "error", "build_time_s", "solve_time_s")
+    runs = [
+        {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in zip(fields, row)}
+        for row in _rows(report, include_timings)
+    ]
+    mean = runs.pop()
+    aggregates = {f"mean_{k}": mean[k] for k in fields[2:]}
+    aggregates["n_failed"] = report.n_failed
+    return _json(
+        {
+            "signal": report.preset,
+            "method": report.method,
+            "p_terms": report.p_terms,
+            "m_samples": report.m_samples,
+            "n_grid": report.n_grid,
+            "master_seed": report.master_seed,
+            "runs": runs,
+            "aggregates": aggregates,
+        }
+    )
 
 
 def sweep_csv(rows, include_timings: bool = True) -> str:
@@ -445,15 +433,6 @@ def sweep_csv(rows, include_timings: bool = True) -> str:
     ready for log-log plotting."""
     lines = [SWEEP_CSV_HEADER]
     for p, report in rows:
-        lines.append(
-            ",".join(
-                [
-                    report.method,
-                    "" if p is None else str(p),
-                    _fmt(report.mean_error),
-                    _fmt(report.mean_build_time_s) if include_timings else "",
-                    _fmt(report.mean_solve_time_s) if include_timings else "",
-                ]
-            )
-        )
+        means = _rows(report, include_timings)[-1][2:]
+        lines.append(",".join(map(_cell, (report.method, "" if p is None else p, *means))))
     return "\n".join(lines) + "\n"

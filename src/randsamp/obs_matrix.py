@@ -104,8 +104,8 @@ def _check_args(times, interval: float, n_grid: int) -> np.ndarray:
         raise ValueError("times must be a nonempty 1-D array")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    if not 0.0 < interval < math.inf:
+        raise ValueError(f"interval must be positive and finite, got {interval}")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
     return times
@@ -263,9 +263,12 @@ def save_matrix_csv(matrix: ObservationMatrix, path) -> None:
 
 def _csv_float(path, line_no: int, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"{path}: line {line_no}: entry {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: line {line_no}: entry {text!r} is not finite")
+    return value
 
 
 def load_matrix_csv(path) -> ObservationMatrix:

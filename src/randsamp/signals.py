@@ -8,6 +8,7 @@ Grid indexing is 0-based throughout: sample ``n`` of a uniform grid lives at
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +71,15 @@ class GaussPulseSignal:
     tpr_db: float = -60.0
 
     def __post_init__(self):
-        if self.center_freq <= 0:
-            raise ValueError("center_freq must be positive")
+        if not 0.0 < self.center_freq < math.inf:
+            raise ValueError(f"center_freq must be positive and finite, got {self.center_freq}")
         if not 0.0 < self.bandwidth < 2.0:
             raise ValueError("bandwidth must lie in (0, 2)")
-        if self.bwr_db >= 0 or self.tpr_db >= 0:
-            raise ValueError("bwr_db and tpr_db are attenuations and must be negative")
+        if not (-math.inf < self.bwr_db < 0.0 and -math.inf < self.tpr_db < 0.0):
+            raise ValueError(
+                f"bwr_db and tpr_db are attenuations and must be negative and finite, "
+                f"got bwr_db={self.bwr_db}, tpr_db={self.tpr_db}"
+            )
 
     @property
     def time_variance(self) -> float:
@@ -91,8 +95,8 @@ class GaussPulseSignal:
 
     def grid_points(self, sample_rate: float) -> int:
         """Samples of [-cutoff_time, +cutoff_time] at sample_rate, endpoints included."""
-        if sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0.0 < sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
         return int(np.floor(2.0 * self.cutoff_time * sample_rate)) + 1
 
     def envelope(self, t):
@@ -119,10 +123,12 @@ class SquareSignal:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must lie strictly between 0 and 1")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
 
     def __call__(self, t):
         phase = np.mod(_as_times(t) / self.period, 1.0)
@@ -145,8 +151,7 @@ class UniformSignal:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or len(self.values) < 2:
             raise ValueError("a uniform signal needs at least two samples")
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
+        _check_grid(self.interval, self.origin)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -183,12 +188,18 @@ class RandomSampleSet:
         return len(self.times)
 
 
+def _check_grid(interval: float, origin: float) -> None:
+    if not 0.0 < interval < math.inf:
+        raise ValueError(f"interval must be positive and finite, got {interval}")
+    if not math.isfinite(origin):
+        raise ValueError(f"grid origin must be finite, got {origin}")
+
+
 def uniform_samples(signal, n: int, interval: float, t0: float = 0.0) -> UniformSignal:
     """Evaluate ``signal`` on the n-point grid t0 + k*interval, k = 0..n-1."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    _check_grid(interval, t0)
     times = t0 + np.arange(n) * interval
     return UniformSignal(values=signal(times), interval=interval, origin=t0)
 
@@ -202,8 +213,10 @@ def draw_random_times(m: int, duration: float, t0: float = 0.0, seed: int = 0) -
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+    if not math.isfinite(t0 + duration):
+        raise ValueError(f"t0 and t0 + duration must be finite, got t0={t0}")
     rng = np.random.default_rng(seed)
     while True:
         times = np.sort(rng.uniform(t0, t0 + duration, size=m))

@@ -63,8 +63,8 @@ class OmpConfig:
     def __post_init__(self):
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be at least 1")
-        if self.residual_tol < 0:
-            raise ValueError("residual_tol must be nonnegative")
+        if not 0.0 <= self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be nonnegative and finite, got {self.residual_tol}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,10 @@ class TvConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.epsilon <= 0 or self.grad_tol <= 0:
-            raise ValueError("step_size, epsilon and grad_tol must be positive")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive (or None for the data-scaled default)")
+        if not all(0.0 < v < math.inf for v in (self.step_size, self.epsilon, self.grad_tol)):
+            raise ValueError("step_size, epsilon and grad_tol must be positive and finite")
+        if self.lam is not None and not 0.0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite (or None for the data-scaled default)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -111,13 +111,23 @@ class RecoveryResult:
     objective_history: np.ndarray | None = None
 
 
+def _measurements(y, m: int) -> np.ndarray:
+    """y as a float array, checked to hold M finite values."""
+    y = np.asarray(y, dtype=float)
+    if len(y) != m:
+        raise ValueError("measurement length does not match matrix rows")
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
+    return y
+
+
 def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     """Greedy recovery of the real signal behind real measurements y.
 
     sensing is the real M x N sensing matrix of a real M0 (see
     :func:`~randsamp.fourier.sensing_matrix`): Re a_j in columns 0..N//2 and
-    Im a_j, j = 1, 2, ..., in the columns after them. A complex matrix raises
-    ValueError. Per iteration: (1) pick the frequency j maximizing
+    Im a_j, j = 1, 2, ..., in the columns after them. A complex matrix or a
+    non-finite y raises ValueError. Per iteration: (1) pick the frequency j maximizing
     |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins j and N-j, or
     one bin for DC and Nyquist; (2) least-squares re-fit y over the columns
     Re a_j and Im a_j of the selected frequencies (Re a_j alone for DC and
@@ -130,10 +140,8 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     a = np.asarray(sensing)
     if np.iscomplexobj(a):
         raise ValueError("sensing matrix must be real, with Re a_j and Im a_j in separate columns")
-    y = np.asarray(y, dtype=float)
+    y = _measurements(y, a.shape[0])
     m, n = a.shape
-    if len(y) != m:
-        raise ValueError("measurement length does not match matrix rows")
     if cfg.max_atoms > n:
         raise ValueError("max_atoms cannot exceed the number of columns")
     h = n // 2 + 1
@@ -247,7 +255,7 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     x_init (default M0^T y) and takes fixed steps, halving the step whenever a
     proposal would increase the objective; ten consecutive failed halvings
     raise NonConvergenceError. Stops at cfg.max_iters accepted steps or when
-    ||grad J|| <= cfg.grad_tol.
+    ||grad J|| <= cfg.grad_tol. A non-finite y raises ValueError.
 
     Evaluating J at a candidate yields its residual r = M0 x - y, its
     circular differences d = D x and s = sqrt(d^2 + eps^2); once the
@@ -259,10 +267,8 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     gradient afresh at every iterate, so the iterates are those of that loop.
     """
     a = np.asarray(getattr(m0, "entries", m0), dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = _measurements(y, a.shape[0])
     m, n = a.shape
-    if len(y) != m:
-        raise ValueError("measurement length does not match matrix rows")
     x = a.T @ y if x_init is None else np.array(x_init, dtype=float)
     if len(x) != n:
         raise ValueError("x_init length does not match matrix columns")

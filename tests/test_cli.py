@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -338,6 +339,21 @@ class TestMalformedColumnFiles:
         assert f"{times}: line 3: 'time' field 'abc' is not a number" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_field(self, run_cli, tmp_path, bad):
+        # Unchecked, a NaN measurement recovers an all-zero signal with exit 0.
+        from randsamp.obs_matrix import build_poisson, save_matrix_csv
+
+        matrix = tmp_path / "m.csv"
+        save_matrix_csv(build_poisson(np.array([0.3, 2.9, 5.5, 7.1]), 1.0, 16), matrix)
+        values = tmp_path / "y.csv"
+        values.write_text(f"index,value\n0,1.0\n1,{bad}\n2,0.5\n3,-1.0\n")
+        proc = run_cli("recover", "--matrix", matrix, "--measurements", values, "--max-atoms", "4")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("randsamp: error: ")
+        assert f"{values}: line 3: 'value' field '{bad}' is not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestMalformedMatrixFiles:
     """A matrix CSV that cannot be read or parsed is a usage error, not a traceback."""
@@ -360,6 +376,64 @@ class TestMalformedMatrixFiles:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"randsamp: error: {matrix}: line 1: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestNumericFlags:
+    """A zero, NaN or infinite numeric flag is a usage error naming the value:
+    never a fallback to another flag, a NaN output or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--signal", "trig", "--n", "4", "--rate", "0", "--interval", "0.01"],
+             "--rate must be positive and finite, got 0.0"),
+            (["generate", "--signal", "trig", "--n", "4", "--rate", "nan"], "--rate must be positive"),
+            (["generate", "--signal", "gauspuls", "--rate", "nan"], "--rate must be positive"),
+            (["generate", "--signal", "trig", "--n", "4", "--interval", "nan"],
+             "interval must be positive and finite"),
+            (["generate", "--signal", "gauspuls", "--n", "4", "--interval", "1e-6", "--fc", "nan"],
+             "center_freq must be positive and finite"),
+            (["generate", "--signal", "gauspuls", "--n", "4", "--interval", "1e-6", "--bwr", "nan"],
+             "bwr_db=nan"),
+            (["generate", "--signal", "gauspuls", "--n", "4", "--interval", "1e-6", "--tpr", "nan"],
+             "tpr_db=nan"),
+            (["generate", "--signal", "square", "--n", "4", "--interval", "0.1", "--period", "nan"],
+             "period must be positive and finite"),
+            (["generate", "--signal", "square", "--n", "4", "--interval", "0.1", "--amplitude", "nan"],
+             "amplitude must be finite"),
+            (["build-matrix", "--times", "t.csv", "--interval", "nan", "--n", "8", "--out", "m.csv"],
+             "interval must be positive and finite"),
+            (["build-matrix", "--times", "t.csv", "--interval", "inf", "--n", "8", "--out", "m.csv"],
+             "interval must be positive and finite"),
+            (["build-matrix", "--times", "missing.csv", "--interval", "1", "--n", "8"],
+             "build-matrix needs --out"),
+            (["sample", "--signal", "trig", "--m", "4", "--duration", "nan"],
+             "duration must be positive and finite"),
+            (["sample", "--signal", "trig", "--m", "4", "--duration", "inf"],
+             "duration must be positive and finite"),
+            (["sample", "--signal", "trig", "--m", "4", "--duration", "1", "--t0", "nan"],
+             "t0 and t0 + duration must be finite"),
+            (["experiment", "--preset", "trig", "--runs", "1", "--residual-tol", "nan"],
+             "residual_tol must be nonnegative and finite"),
+            (["experiment", "--preset", "square", "--runs", "1", "--tv-step", "inf"],
+             "step_size, epsilon and grad_tol must be positive and finite"),
+        ],
+        ids=["generate-rate-zero", "generate-rate-nan", "gauspuls-rate-nan", "interval-nan",
+             "fc-nan", "bwr-nan", "tpr-nan", "period-nan", "amplitude-nan", "build-interval-nan",
+             "build-interval-inf", "build-out-checked-first", "duration-nan", "duration-inf",
+             "sample-t0-nan", "residual-tol-nan", "tv-step-inf"],
+    )
+    def test_rejected_with_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
+        from randsamp.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.csv").write_text("time\n0.5\n2.5\n")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("randsamp: error: ")
+        assert message in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
 class TestConfigFile:

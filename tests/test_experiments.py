@@ -104,6 +104,8 @@ class TestResolvePlan:
             ExperimentConfig(preset="trig", runs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(preset="trig", solver="cg")
+        with pytest.raises(ValueError, match="unknown matrix method 'sinc'"):
+            ExperimentConfig(preset="trig", method="sinc")
 
     @pytest.mark.parametrize(
         "field, value", [("m_samples", 0), ("n_grid", 0), ("n_grid", 1), ("sample_rate", 0.0),

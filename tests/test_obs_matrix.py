@@ -182,6 +182,16 @@ class TestBuilders:
                 build_poisson(np.array([0.5, bad]), 1.0, 8)
         with pytest.raises(ValueError):
             ObservationMatrix(np.zeros((2, 8)), "bogus", np.zeros(2), 1.0, 8)
+        with pytest.raises(ValueError, match="shape"):
+            ObservationMatrix(np.zeros((2, 8)), "poisson", np.zeros(3), 1.0, 8)
+
+    @pytest.mark.parametrize("method", ["naive", "truncated", "poisson"])
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_interval_must_be_finite(self, method, interval):
+        # Unchecked, a NaN interval fills a NaN matrix and an infinite one
+        # makes every row the unit vector e_0.
+        with pytest.raises(ValueError, match="interval must be positive and finite"):
+            build(method, np.array([0.5, 1.5]), interval, 8, p_terms=20)
 
     def test_more_samples_than_grid_warns(self):
         with pytest.warns(UserWarning):
@@ -442,13 +452,16 @@ class TestCsvInterchange:
             ("1,2\n", "line 2: expected the 4 values M,N,method,P, found 2"),
             ("2,3,poisson,\n1,2,3\n1,2\n", "line 4: expected 3 entries, found 2"),
             ("1,2,poisson,\n1,abc\n", "line 3: entry 'abc' is not a number"),
+            ("1,2,poisson,\n1,inf\n", "line 3: entry 'inf' is not finite"),
+            ("2,2,poisson,\n1,2\nnan,4\n", "line 4: entry 'nan' is not finite"),
             ("1,2,poisson,\n1,2\n3,4\n", "line 4: expected 1 matrix rows, found 2"),
             ("2,2,poisson,\n1,2\n", "line 3: expected 2 matrix rows, found 1"),
             ("x,2,poisson,\n", "line 2: M, N and P must be integers, got 'x,2,poisson,'"),
             ("1,2,sinc,\n1,2\n", "line 2: expected M, N >= 1 and a method in "
                                    "('naive', 'truncated', 'poisson'), got '1,2,sinc,'"),
         ],
-        ids=["header-only", "short-metadata", "short-row", "non-numeric", "extra-rows",
+        ids=["header-only", "short-metadata", "short-row", "non-numeric", "infinite-entry",
+             "nan-entry", "extra-rows",
              "missing-rows", "non-integer-size", "unknown-method"],
     )
     def test_malformed_file_names_file_and_line(self, tmp_path, body, where):

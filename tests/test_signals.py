@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from randsamp.signals import (
     GaussPulseSignal,
+    RandomSampleSet,
     SquareSignal,
     TrigSignal,
+    UniformSignal,
     draw_random_times,
     sample_at,
     uniform_samples,
@@ -112,6 +116,45 @@ class TestUniformSamples:
             uniform_samples(TRIG, 1, 0.1)
         with pytest.raises(ValueError):
             uniform_samples(TRIG, 16, 0.0)
+        with pytest.raises(ValueError, match="at least two samples"):
+            UniformSignal(np.zeros(1), 0.1)
+        with pytest.raises(ValueError, match="interval must be positive"):
+            UniformSignal(np.zeros(4), -0.1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GaussPulseSignal(center_freq=math.nan),
+        lambda: GaussPulseSignal(center_freq=math.inf),
+        lambda: GaussPulseSignal(bwr_db=math.nan),
+        lambda: GaussPulseSignal(tpr_db=math.nan),
+        lambda: GaussPulseSignal(tpr_db=-math.inf),
+        lambda: PULSE.grid_points(math.nan),
+        lambda: PULSE.grid_points(0.0),
+        lambda: SquareSignal(period=math.nan),
+        lambda: SquareSignal(period=math.inf),
+        lambda: SquareSignal(amplitude=math.nan),
+        lambda: SquareSignal(amplitude=-math.inf),
+        lambda: uniform_samples(TRIG, 4, math.nan),
+        lambda: uniform_samples(TRIG, 4, math.inf),
+        lambda: uniform_samples(TRIG, 4, 0.1, t0=math.nan),
+        lambda: UniformSignal(np.zeros(4), math.nan),
+        lambda: draw_random_times(4, math.nan),
+        lambda: draw_random_times(4, math.inf),
+        lambda: draw_random_times(4, 1.0, t0=math.nan),
+        lambda: draw_random_times(4, 1e308, t0=1e308),
+    ],
+    ids=["fc-nan", "fc-inf", "bwr-nan", "tpr-nan", "tpr-neg-inf", "rate-nan", "rate-zero",
+         "period-nan", "period-inf", "amplitude-nan", "amplitude-neg-inf", "interval-nan",
+         "interval-inf", "t0-nan", "uniform-signal-interval-nan", "duration-nan", "duration-inf",
+         "window-t0-nan", "window-end-overflows"],
+)
+def test_non_finite_parameter_rejected(make):
+    # NaN slips past a `<= 0` test, and an infinite interval or window
+    # degenerates the grid; each must be refused where it enters.
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 class TestDrawRandomTimes:
@@ -165,6 +208,13 @@ class TestSampleAt:
     def test_metadata_carried(self):
         s = sample_at(TRIG, np.array([0.0, 0.1]), duration=0.32, seed=99)
         assert s.duration == 0.32 and s.seed == 99
+        assert len(s) == 2
+
+    def test_sample_set_shape_checks(self):
+        with pytest.raises(ValueError, match="at least one sample time"):
+            RandomSampleSet(np.zeros(0), np.zeros(0), duration=1.0)
+        with pytest.raises(ValueError, match="equal length"):
+            RandomSampleSet(np.array([0.1, 0.2]), np.zeros(3), duration=1.0)
 
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):

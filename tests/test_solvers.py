@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -171,6 +172,36 @@ class TestOmp:
         assert res.iterations >= 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", ["omp", "tv"])
+def test_non_finite_measurement_rejected(solver, bad):
+    # Unchecked, one NaN in y makes OMP's stop test compare against tol * NaN
+    # and return an all-zero signal, and drives TV into its divergence error.
+    m0 = build_poisson(np.array([0.3, 2.9, 5.5, 7.1]), 1.0, 8)
+    y = np.array([1.0, bad, 0.5, -1.0])
+    with pytest.raises(ValueError, match="measurements must be finite"):
+        if solver == "omp":
+            omp_recover(sensing_matrix(m0), y, OmpConfig(max_atoms=4))
+        else:
+            tv_recover(m0, y, TvConfig(max_iters=10))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: OmpConfig(residual_tol=math.nan),
+        lambda: TvConfig(step_size=math.nan),
+        lambda: TvConfig(epsilon=math.inf),
+        lambda: TvConfig(grad_tol=math.nan),
+        lambda: TvConfig(lam=math.nan),
+    ],
+    ids=["residual-tol-nan", "step-nan", "epsilon-inf", "grad-tol-nan", "lam-nan"],
+)
+def test_non_finite_solver_setting_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 class TestTvPieces:
     def test_total_variation_of_constant_is_floor(self):
         assert total_variation(np.full(10, 3.0), 1e-3) == pytest.approx(10e-3, rel=1e-12)
@@ -199,6 +230,8 @@ class TestTvPieces:
         a = rng.standard_normal((12, 30))
         exact = np.linalg.svd(a, compute_uv=False)[0] ** 2
         assert operator_norm_sq(a) == pytest.approx(exact, rel=1e-2)
+        # a zero matrix has no direction to iterate on; 1.0 keeps the TV step finite
+        assert operator_norm_sq(np.zeros((3, 5))) == 1.0
 
 
 class TestTvRecover:

@@ -81,6 +81,8 @@ def _resolve_out(path_str: str | None) -> Path | None:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
+    if path.is_dir():
+        raise UsageError(f"--out {path} is a directory")
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
     return path
@@ -281,10 +283,9 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
     )
 
 
-def _emit_reports(text: str, out_arg: str | None, summary: str, reports) -> int:
+def _emit_reports(text: str, out: Path | None, summary: str, reports) -> int:
     """Write a report text, name the file written, and exit 2 when every run
     of every report failed."""
-    out = _resolve_out(out_arg)
     _emit(text, out)
     if out is not None:
         print(f"{out}: {summary}")
@@ -295,10 +296,12 @@ def _emit_reports(text: str, out_arg: str | None, summary: str, reports) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    report = experiments.run_experiment(_experiment_config(args))
+    cfg = _experiment_config(args)
+    out = _resolve_out(args.out)  # before the runs, so a bad --out costs none
+    report = experiments.run_experiment(cfg)
     write = experiments.report_csv if args.format == "csv" else experiments.report_json
     summary = f"{len(report.records)} runs, mean_error={_fmt(report.mean_error)}, failed={report.n_failed}"
-    return _emit_reports(write(report, include_timings=args.timings), args.out, summary, [report])
+    return _emit_reports(write(report, include_timings=args.timings), out, summary, [report])
 
 
 def _cmd_sweep_p(args) -> int:
@@ -306,9 +309,11 @@ def _cmd_sweep_p(args) -> int:
         p_list = [int(tok) for tok in args.p_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"--p-list must be comma-separated integers: {exc}") from exc
-    rows = experiments.sweep_truncation(_experiment_config(args), p_list)
+    cfg = _experiment_config(args)
+    out = _resolve_out(args.out)
+    rows = experiments.sweep_truncation(cfg, p_list)
     text = experiments.sweep_csv(rows, include_timings=args.timings)
-    return _emit_reports(text, args.out, f"{len(rows)} rows", [report for _, report in rows])
+    return _emit_reports(text, out, f"{len(rows)} rows", [report for _, report in rows])
 
 
 def _add_solver_flags(parser) -> None:
@@ -420,6 +425,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"randsamp: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # input files are reported where they are read, so this is --out
+        print(f"randsamp: error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

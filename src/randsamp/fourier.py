@@ -10,10 +10,11 @@ no N x N matrix is formed.
 
 The sensing matrix A = M0 Psi* of a real M0 has a_{N-j} = conj(a_j), so it
 is stored real, M x N: Re a_j for j = 0..N//2, then Im a_j for j = 1, 2, ...
-(the Im parts of DC and even-N Nyquist are zero and left out). For a
-``poisson`` M0 the atoms a_j = e^{2 pi i j u / N} / sqrt(N), u = t / T, are
+(the Im parts of DC and even-N Nyquist are zero and left out).
+:func:`sensing_matrix` takes it as the real FFT of M0's rows, for any M0. For
+a ``poisson`` M0 the atoms a_j = e^{2 pi i j u / N} / sqrt(N), u = t / T, are
 the one closed form: ``obs_matrix.build_poisson`` is their inverse real FFT,
-and :func:`poisson_sensing` lays the same table out here.
+and :func:`poisson_sensing` lays them out here from the sample times alone.
 """
 
 from __future__ import annotations
@@ -45,13 +46,10 @@ def poisson_sensing(times, interval: float, n_grid: int) -> np.ndarray:
 
 def sensing_matrix(m0) -> np.ndarray:
     """Real M x N sensing matrix ``m0.entries @ R`` in the layout above, R
-    being the Re and Im parts of the adjoint DFT's columns: from the atoms
-    for a ``poisson`` matrix with finite times, else (e.g. times NaN, as
-    ``load_matrix_csv`` gives) from the real FFT of M0's rows, whose bin j is
-    the conjugate of a_j.
+    being the Re and Im parts of the adjoint DFT's columns: the real FFT of
+    M0's rows, whose bin j is the conjugate of a_j. For a ``poisson`` M0 it
+    matches :func:`poisson_sensing` at the sample times to ~1e-16.
     """
-    if m0.method == "poisson" and np.isfinite(m0.times).all():
-        return poisson_sensing(m0.times, m0.interval, m0.n_grid)
     n = m0.n_grid
     half = np.fft.rfft(m0.entries, axis=1, norm="ortho")
     return np.concatenate((half.real, -half.imag[:, 1 : n - n // 2]), axis=1)

@@ -4,7 +4,8 @@ Three constructions of the M x N interpolation matrix whose rows are indexed
 by sample times t_m and columns by grid index n. All share the kernel
 argument theta = t_m / T - n, which places grid point n at time n*T: sample
 times must be measured from the grid origin (subtract t0 first when the grid
-does not start at zero).
+does not start at zero). The :class:`ObservationMatrix` they return holds
+the entries and the method and P tags only, as the CSV layout does.
 
 * ``naive``     -- plain sinc(theta); ignores the periodicity that the DFT
                    imposes on a finite grid.
@@ -27,6 +28,7 @@ does not start at zero).
                    FFT of the atom table that ``fourier.poisson_sensing``
                    reads, whose phases are reduced exactly.
                    :func:`periodized_sinc` evaluates the same kernel pointwise.
+
 """
 
 from __future__ import annotations
@@ -50,18 +52,14 @@ class ObservationMatrix:
 
     entries: np.ndarray
     method: str
-    times: np.ndarray
-    interval: float
-    n_grid: int
     p_terms: int | None = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
-        self.times = np.asarray(self.times, dtype=float)
         if self.method not in METHODS:
             raise ValueError(f"unknown construction method {self.method!r}")
-        if self.entries.shape != (len(self.times), self.n_grid):
-            raise ValueError("entries shape does not match times x grid")
+        if self.entries.ndim != 2 or self.entries.size == 0:
+            raise ValueError(f"entries must be a nonempty 2-D array, got shape {self.entries.shape}")
         if self.m > self.n_grid:
             warnings.warn(
                 f"M={self.m} exceeds N={self.n_grid}; expected the under-sampled regime M <= N",
@@ -71,6 +69,10 @@ class ObservationMatrix:
     @property
     def m(self) -> int:
         return self.entries.shape[0]
+
+    @property
+    def n_grid(self) -> int:
+        return self.entries.shape[1]
 
 
 def periodized_sinc(theta, n_grid: int):
@@ -99,6 +101,7 @@ def periodized_sinc(theta, n_grid: int):
 
 
 def _check_args(times, interval: float, n_grid: int) -> np.ndarray:
+    """Check the builder arguments and return the times in grid units, t / T."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a nonempty 1-D array")
@@ -108,19 +111,20 @@ def _check_args(times, interval: float, n_grid: int) -> np.ndarray:
         raise ValueError(f"interval must be positive and finite, got {interval}")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
-    return times
+    with np.errstate(over="ignore"):
+        u = times / interval
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"times / interval must be finite; interval {interval} overflows it")
+    return u
 
 
-def _kernel_args(times, interval: float, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    times = _check_args(times, interval, n_grid)
-    theta = times[:, None] / interval - np.arange(n_grid)[None, :]
-    return times, theta
+def _kernel_args(times, interval: float, n_grid: int) -> np.ndarray:
+    return _check_args(times, interval, n_grid)[:, None] - np.arange(n_grid)[None, :]
 
 
 def build_naive(times, interval: float, n_grid: int) -> ObservationMatrix:
     """Single-period sinc interpolation matrix: entry (m, n) = sinc(t_m/T - n)."""
-    times, theta = _kernel_args(times, interval, n_grid)
-    return ObservationMatrix(np.sinc(theta), "naive", times, interval, n_grid)
+    return ObservationMatrix(np.sinc(_kernel_args(times, interval, n_grid)), "naive")
 
 
 def check_p_terms(p_terms) -> None:
@@ -148,7 +152,7 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
     of the sum: 1 where theta + p N == 0 for a p in the window, else 0.
     """
     check_p_terms(p_terms)
-    times, theta = _kernel_args(times, interval, n_grid)
+    theta = _kernel_args(times, interval, n_grid)
     half = p_terms // 2
     k = np.round(theta)
     r = theta - k
@@ -158,11 +162,12 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
     k_hit = k[hit]
     q = max(1, math.ceil(2.0 * max(theta.max(), -theta.min()) / n_grid))
     # k and r are spent: k now holds theta^2 and r the running sum.
-    sq = np.multiply(theta, theta, out=k)
     acc = r
     acc.fill(0.0)
     buf = np.empty_like(theta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # theta^2 overflows only past |theta| ~ 1e154, where q >= P/2 leaves it unread
+        sq = np.multiply(theta, theta, out=k)
         for p in range(q, half):
             np.subtract(sq, float(p * n_grid) ** 2, out=buf)
             np.reciprocal(buf, out=buf)
@@ -183,7 +188,7 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
         entries /= np.pi
     p_hit = -k_hit / n_grid
     entries[hit] = (k_hit % n_grid == 0) & (p_hit > -half) & (p_hit <= half)
-    return ObservationMatrix(entries, "truncated", times, interval, n_grid, p_terms=p_terms)
+    return ObservationMatrix(entries, "truncated", p_terms=p_terms)
 
 
 def _poisson_atoms(times, interval: float, n_grid: int) -> np.ndarray:
@@ -193,7 +198,7 @@ def _poisson_atoms(times, interval: float, n_grid: int) -> np.ndarray:
     atom b B + c is the product of a coarse table at j = b B and a fine one
     at j = c.
     """
-    u = _check_args(times, interval, n_grid) / interval
+    u = _check_args(times, interval, n_grid)
     k = np.round(u)
     f = u - k
     k %= n_grid
@@ -219,13 +224,12 @@ def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
     whose phases are reduced exactly. Rows with u_m an exact integer are set
     to the exact unit vector, where the FFT leaves ~1e-17 off the diagonal.
     """
-    times = _check_args(times, interval, n_grid)
     entries = np.fft.irfft(_poisson_atoms(times, interval, n_grid).conj(), n=n_grid, norm="ortho")
-    u = times / interval
+    u = _check_args(times, interval, n_grid)
     on_grid = np.flatnonzero(u == np.round(u))
     entries[on_grid] = 0.0
     entries[on_grid, (u[on_grid] % n_grid).astype(int)] = 1.0
-    return ObservationMatrix(entries, "poisson", times, interval, n_grid)
+    return ObservationMatrix(entries, "poisson")
 
 
 def build(method: str, times, interval: float, n_grid: int, p_terms: int | None = None) -> ObservationMatrix:
@@ -274,9 +278,9 @@ def _csv_float(path, line_no: int, text: str) -> float:
 def load_matrix_csv(path) -> ObservationMatrix:
     """Read a matrix written by :func:`save_matrix_csv`.
 
-    The layout stores entries and tags only, so ``times`` and ``interval``
-    come back as NaN placeholders. A file that breaks the layout raises
-    ValueError naming the file and, where there is one, the line.
+    The layout stores the entries and the method and P tags, which is all an
+    ObservationMatrix holds. A file that breaks the layout raises ValueError
+    naming the file and, where there is one, the line.
     """
     with open(path) as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
@@ -307,4 +311,4 @@ def load_matrix_csv(path) -> ObservationMatrix:
         if len(values) != n:
             raise ValueError(f"{path}: line {no}: expected {n} entries, found {len(values)}")
         entries[i] = [_csv_float(path, no, v) for v in values]
-    return ObservationMatrix(entries, method, np.full(m, np.nan), float("nan"), n, p_terms=p)
+    return ObservationMatrix(entries, method, p_terms=p)

@@ -37,8 +37,10 @@ class TrigSignal:
     def __post_init__(self):
         if len(self.sin_amps) != len(self.sin_freqs) or len(self.cos_amps) != len(self.cos_freqs):
             raise ValueError("amplitude and frequency tuples must have matching lengths")
-        if any(f <= 0 for f in self.sin_freqs + self.cos_freqs):
-            raise ValueError("all frequencies must be positive")
+        if not all(0.0 < f < math.inf for f in self.sin_freqs + self.cos_freqs):
+            raise ValueError(f"all frequencies must be positive and finite, got {self.sin_freqs + self.cos_freqs}")
+        if not all(math.isfinite(a) for a in self.sin_amps + self.cos_amps):
+            raise ValueError(f"all amplitudes must be finite, got {self.sin_amps + self.cos_amps}")
 
     def __call__(self, t):
         tt = _as_times(t)
@@ -80,6 +82,18 @@ class GaussPulseSignal:
                 f"bwr_db and tpr_db are attenuations and must be negative and finite, "
                 f"got bwr_db={self.bwr_db}, tpr_db={self.tpr_db}"
             )
+        # Finite parameters can still over- or underflow the envelope.
+        with np.errstate(all="ignore"):
+            try:
+                envelope = (self.time_variance, self.cutoff_time)
+            except OverflowError:  # center_freq**2 overflows, so the variance underflows
+                envelope = (0.0, 0.0)
+        if not all(0.0 < v < math.inf for v in envelope):
+            raise ValueError(
+                f"center_freq={self.center_freq}, bandwidth={self.bandwidth}, bwr_db={self.bwr_db} and "
+                f"tpr_db={self.tpr_db} give envelope variance {envelope[0]} s^2 and cutoff {envelope[1]} s; "
+                f"both must be positive and finite"
+            )
 
     @property
     def time_variance(self) -> float:
@@ -97,7 +111,10 @@ class GaussPulseSignal:
         """Samples of [-cutoff_time, +cutoff_time] at sample_rate, endpoints included."""
         if not 0.0 < sample_rate < math.inf:
             raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
-        return int(np.floor(2.0 * self.cutoff_time * sample_rate)) + 1
+        span = 2.0 * self.cutoff_time * sample_rate
+        if not math.isfinite(span):
+            raise ValueError(f"cutoff_time {self.cutoff_time} s at sample_rate {sample_rate} Hz gives no finite grid")
+        return int(np.floor(span)) + 1
 
     def envelope(self, t):
         tt = _as_times(t)

@@ -223,8 +223,8 @@ class TestPipeline:
         assert "recovery failed: support size" in proc.stderr
 
     def test_recover_from_matrix_csv_matches_atom_path(self, run_cli, tmp_path):
-        # A matrix CSV has NaN times, so recover takes the real FFT of M0's
-        # rows; the library fills the same sensing matrix from the times.
+        # recover takes the real FFT of the rows of the M0 it reads; the
+        # library fills the same sensing matrix from the times.
         from randsamp.fourier import poisson_sensing
         from randsamp.solvers import OmpConfig, omp_recover
 
@@ -434,6 +434,60 @@ class TestNumericFlags:
         assert message in captured.err
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+class TestExtremeFiniteInputs:
+    """Finite flags whose derived values over- or underflow are usage errors,
+    raised where those values are formed and with no numpy RuntimeWarning."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--signal", "gauspuls", "--fc", "1e-300", "--rate", "1e6"],
+             "envelope variance inf"),
+            (["generate", "--signal", "gauspuls", "--fc", "1e300", "--n", "4", "--interval", "1e-6"],
+             "envelope variance 0.0"),
+            (["build-matrix", "--times", "t.csv", "--interval", "1e-320", "--n", "8", "--out", "m.csv"],
+             "times / interval must be finite"),
+        ],
+        ids=["fc-tiny", "fc-huge", "interval-tiny"],
+    )
+    def test_exit_1_without_traceback(self, run_cli, tmp_path, argv, message):
+        (tmp_path / "t.csv").write_text("time\n0.5\n2.5\n")
+        proc = run_cli(*argv, env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("randsamp: error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("blocker", ["directory", "file-as-parent"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--signal", "trig", "--n", "4", "--rate", "800"],
+            ["experiment", "--preset", "trig", "--runs", "1"],
+            ["build-matrix", "--times", "t.csv", "--interval", "0.1", "--n", "8"],
+        ],
+        ids=["generate", "experiment", "build-matrix"],
+    )
+    def test_exit_1_naming_the_path(self, run_cli, tmp_path, argv, blocker):
+        (tmp_path / "t.csv").write_text("time\n0.5\n2.5\n")
+        taken = tmp_path / "taken"
+        if blocker == "directory":
+            taken.mkdir()
+            out = taken
+        else:
+            taken.write_text("")
+            out = taken / "x.csv"
+        proc = run_cli(*argv, "--out", out)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("randsamp: error: ")
+        assert str(taken) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestConfigFile:

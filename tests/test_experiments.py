@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,16 +261,14 @@ class TestSensingWithoutM0:
         ids=["trig", "gauspuls-10MHz", "gauspuls-9.99MHz", "trig-M20"],
     )
     def test_same_supports_and_errors_as_m0_path(self, overrides):
-        # The M0 path: build_poisson, then the real FFT of its rows (NaN
-        # times, as a matrix read from CSV has). Trig errors are ~1e-14
-        # rounding, hence the absolute floor.
+        # The M0 path: build_poisson, then the real FFT of its rows. Trig
+        # errors are ~1e-14 rounding, hence the absolute floor.
         for seed in range(4):
             cfg = ExperimentConfig(runs=50, master_seed=seed, **overrides)
             plan = resolve_plan(cfg)
             for run_id in range(cfg.runs):
                 outcome = reconstruct_once(cfg, run_id)
-                m0 = replace(outcome.matrix, times=np.full(plan.m_samples, np.nan))
-                old = omp_recover(sensing_matrix(m0), outcome.measurements, plan.omp)
+                old = omp_recover(sensing_matrix(outcome.matrix), outcome.measurements, plan.omp)
                 old_error = relative_l2_error(old.recovered, outcome.reference.values)
                 assert outcome.result.support == old.support, (seed, run_id)
                 assert math.isclose(outcome.error, old_error, rel_tol=1e-9, abs_tol=1e-12), (seed, run_id)

@@ -181,9 +181,11 @@ class TestBuilders:
             with pytest.raises(ValueError, match="finite"):
                 build_poisson(np.array([0.5, bad]), 1.0, 8)
         with pytest.raises(ValueError):
-            ObservationMatrix(np.zeros((2, 8)), "bogus", np.zeros(2), 1.0, 8)
-        with pytest.raises(ValueError, match="shape"):
-            ObservationMatrix(np.zeros((2, 8)), "poisson", np.zeros(3), 1.0, 8)
+            ObservationMatrix(np.zeros((2, 8)), "bogus")
+        for bad in (np.zeros(8), np.zeros((0, 8)), np.zeros((2, 0)), np.zeros((1, 2, 8))):
+            with pytest.raises(ValueError, match="nonempty 2-D"):
+                ObservationMatrix(bad, "poisson")
+        assert ObservationMatrix(np.zeros((2, 8)), "poisson").n_grid == 8
 
     @pytest.mark.parametrize("method", ["naive", "truncated", "poisson"])
     @pytest.mark.parametrize("interval", [math.nan, math.inf])
@@ -192,6 +194,19 @@ class TestBuilders:
         # makes every row the unit vector e_0.
         with pytest.raises(ValueError, match="interval must be positive and finite"):
             build(method, np.array([0.5, 1.5]), interval, 8, p_terms=20)
+
+    @pytest.mark.parametrize("method", ["naive", "truncated", "poisson"])
+    def test_times_over_interval_must_be_finite(self, method):
+        # 0.5 / 1e-320 overflows to inf, which once ended in an IndexError.
+        with pytest.raises(ValueError, match="times / interval must be finite"):
+            build(method, np.array([0.5]), 1e-320, 8, p_terms=20)
+
+    def test_truncated_far_from_grid_is_quiet(self):
+        # theta^2 overflows there, but the paired sum never reads it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m0 = build_truncated(np.array([1e200]), 1.0, 8, 20)
+        assert np.array_equal(m0.entries, np.zeros((1, 8)))
 
     def test_more_samples_than_grid_warns(self):
         with pytest.warns(UserWarning):

@@ -157,6 +157,44 @@ def test_non_finite_parameter_rejected(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"sin_freqs": (math.nan, 200.0)},
+        {"cos_freqs": (100.0, math.inf)},
+        {"sin_amps": (math.inf, 0.1)},
+        {"cos_amps": (0.6, math.nan)},
+    ],
+    ids=["sin-freq-nan", "cos-freq-inf", "sin-amp-inf", "cos-amp-nan"],
+)
+def test_trig_non_finite_parameter_rejected(fields):
+    # Unchecked, a NaN frequency evaluates to NaN and an infinite amplitude to inf.
+    with pytest.raises(ValueError, match="finite"):
+        TrigSignal(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"center_freq": 1e-300},
+        {"center_freq": 1e300},
+        {"bwr_db": -1e300},
+        {"tpr_db": -1e300},
+        {"tpr_db": -1e-320},
+    ],
+    ids=["fc-tiny", "fc-huge", "bwr-huge", "tpr-huge", "tpr-tiny"],
+)
+def test_gauspuls_finite_parameters_with_degenerate_envelope_rejected(fields):
+    # Each is finite, but gives an envelope variance or cutoff of 0 or inf.
+    with pytest.raises(ValueError, match="positive and finite"):
+        GaussPulseSignal(**fields)
+
+
+def test_gauspuls_grid_past_float_range_rejected():
+    with pytest.raises(ValueError, match="no finite grid"):
+        GaussPulseSignal(center_freq=1e-150).grid_points(1e300)
+
+
 class TestDrawRandomTimes:
     def test_deterministic(self):
         a = draw_random_times(64, 0.32, seed=42)

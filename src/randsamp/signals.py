@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# Largest grid GaussPulseSignal.grid_points will size: 1 GiB of float64.
+MAX_GRID_POINTS = 2**27
 
 
 def _as_times(t) -> np.ndarray:
@@ -108,13 +110,23 @@ class GaussPulseSignal:
         return float(np.sqrt(-2.0 * self.time_variance * np.log(tref)))
 
     def grid_points(self, sample_rate: float) -> int:
-        """Samples of [-cutoff_time, +cutoff_time] at sample_rate, endpoints included."""
+        """Samples of [-cutoff_time, +cutoff_time] at sample_rate, endpoints included.
+
+        Raises ValueError, before anything is allocated, when that count N
+        exceeds MAX_GRID_POINTS (2**27, a 1 GiB float64 grid).
+        """
         if not 0.0 < sample_rate < math.inf:
             raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
         span = 2.0 * self.cutoff_time * sample_rate
         if not math.isfinite(span):
             raise ValueError(f"cutoff_time {self.cutoff_time} s at sample_rate {sample_rate} Hz gives no finite grid")
-        return int(np.floor(span)) + 1
+        n = int(np.floor(span)) + 1
+        if n > MAX_GRID_POINTS:
+            raise ValueError(
+                f"center_freq {self.center_freq} Hz at sample_rate {sample_rate} Hz gives a grid of N={n:.4g} points, "
+                f"above the limit of {MAX_GRID_POINTS}"
+            )
+        return n
 
     def envelope(self, t):
         tt = _as_times(t)

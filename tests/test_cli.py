@@ -447,10 +447,12 @@ class TestExtremeFiniteInputs:
              "envelope variance inf"),
             (["generate", "--signal", "gauspuls", "--fc", "1e300", "--n", "4", "--interval", "1e-6"],
              "envelope variance 0.0"),
+            (["generate", "--signal", "gauspuls", "--fc", "1e-150", "--rate", "1e6"],
+             "gives a grid of N="),
             (["build-matrix", "--times", "t.csv", "--interval", "1e-320", "--n", "8", "--out", "m.csv"],
              "times / interval must be finite"),
         ],
-        ids=["fc-tiny", "fc-huge", "interval-tiny"],
+        ids=["fc-tiny", "fc-huge", "fc-grid-too-large", "interval-tiny"],
     )
     def test_exit_1_without_traceback(self, run_cli, tmp_path, argv, message):
         (tmp_path / "t.csv").write_text("time\n0.5\n2.5\n")

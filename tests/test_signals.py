@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randsamp.signals import (
+    MAX_GRID_POINTS,
     GaussPulseSignal,
     RandomSampleSet,
     SquareSignal,
@@ -193,6 +194,21 @@ def test_gauspuls_finite_parameters_with_degenerate_envelope_rejected(fields):
 def test_gauspuls_grid_past_float_range_rejected():
     with pytest.raises(ValueError, match="no finite grid"):
         GaussPulseSignal(center_freq=1e-150).grid_points(1e300)
+
+
+def test_gauspuls_grid_above_size_limit_rejected_before_allocating():
+    # ~4.6e9 points (~37 GB of float64) if it were ever allocated.
+    message = r"center_freq 0\.001 Hz at sample_rate 1000000\.0 Hz gives a grid of N=4\.6\d*e\+09 points"
+    with pytest.raises(ValueError, match=message):
+        GaussPulseSignal(center_freq=1e-3).grid_points(1e6)
+
+
+def test_gauspuls_grid_size_limit_boundary():
+    # Rates at which N lands just below and just above MAX_GRID_POINTS.
+    span = 2.0 * PULSE.cutoff_time
+    assert PULSE.grid_points((MAX_GRID_POINTS - 2) / span) <= MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="above the limit"):
+        PULSE.grid_points((MAX_GRID_POINTS + 1) / span)
 
 
 class TestDrawRandomTimes:

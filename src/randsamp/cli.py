@@ -2,9 +2,10 @@
 recovery, and the bundled benchmark presets.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (every run failed).
-Every flag can also be supplied through ``--config FILE`` as ``key=value``
-lines (booleans as true/false); explicit flags win over config values. If
-RANDSAMP_OUT_DIR is set, relative ``--out`` paths are placed inside it.
+Every flag can also be supplied through ``--config FILE``, given after the
+subcommand, as ``key=value`` lines (booleans as true/false); explicit flags
+win over config values. If RANDSAMP_OUT_DIR is set, relative ``--out`` paths
+are placed inside it.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def _inject_config(argv: list[str]) -> list[str]:
     typed on the command line (which come later) win."""
     if "--config" not in argv:
         return argv
+    if argv[0].startswith("-"):
+        raise UsageError("--config goes after the subcommand: randsamp COMMAND --config FILE")
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         return argv  # let argparse report the missing value
@@ -142,8 +145,6 @@ def _cmd_generate(args) -> int:
     if args.rate is not None and not 0.0 < args.rate < math.inf:
         raise UsageError(f"--rate must be positive and finite, got {args.rate}")
     interval = 1.0 / args.rate if args.rate is not None else args.interval
-    if interval is None:
-        raise UsageError("generate needs --rate or --interval")
     t0 = _signal_t0(args, signal)
     n = args.n
     if n is None and isinstance(signal, signals.GaussPulseSignal) and args.rate is not None:
@@ -262,11 +263,10 @@ def _solver_fields(args) -> tuple[dict, dict]:
 def _experiment_config(args) -> experiments.ExperimentConfig:
     # Solver flags override the OMP/TV configs of the plan resolved at the
     # given problem size, field by field; without such flags omp/tv stay None
-    # and each run takes its plan's own.
+    # and each run takes its plan's own. The matrix method stays the default:
+    # experiment sets its own, sweep-p one per row.
     cfg = experiments.ExperimentConfig(
         preset=args.preset,
-        method=args.matrix,
-        p_terms=args.p_terms,
         solver=args.solver,
         runs=args.runs,
         master_seed=args.seed,
@@ -296,7 +296,7 @@ def _emit_reports(text: str, out: Path | None, summary: str, reports) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = replace(_experiment_config(args), method=args.matrix, p_terms=args.p_terms)
     out = _resolve_out(args.out)  # before the runs, so a bad --out costs none
     report = experiments.run_experiment(cfg)
     write = experiments.report_csv if args.format == "csv" else experiments.report_json
@@ -325,15 +325,7 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--tv-iters", type=int, help="TV iteration cap")
 
 
-def _add_experiment_flags(parser, default_p_list: bool = False) -> None:
-    parser.add_argument("--preset", choices=experiments.PRESETS, required=not default_p_list)
-    if default_p_list:
-        parser.set_defaults(preset="trig")
-        parser.add_argument(
-            "--p-list", default="2,20,200,2000,20000", help="comma-separated even truncation lengths"
-        )
-    parser.add_argument("--matrix", choices=obs_matrix.METHODS, default="poisson")
-    parser.add_argument("--p-terms", type=int, help="truncation length for --matrix truncated")
+def _add_experiment_flags(parser) -> None:
     parser.add_argument("--solver", choices=("omp", "tv"), help="default: preset's solver")
     parser.add_argument("--runs", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0, help="master seed; each run derives its own")
@@ -356,8 +348,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="sample a signal on a uniform grid")
     _add_signal_flags(p)
     p.add_argument("--n", type=int, help="grid length (implied for gauspuls with --rate)")
-    p.add_argument("--rate", type=float, help="sample rate in Hz")
-    p.add_argument("--interval", type=float, help="sample interval in s (alternative to --rate)")
+    spacing = p.add_mutually_exclusive_group(required=True)
+    spacing.add_argument("--rate", type=float, help="sample rate in Hz")
+    spacing.add_argument("--interval", type=float, help="sample interval in s")
     p.add_argument("--t0", type=float, help="grid origin (default 0; gauspuls: -cutoff)")
     _add_common_out(p)
     p.set_defaults(func=_cmd_generate)
@@ -400,6 +393,9 @@ def build_parser() -> _Parser:
         help="run a benchmark preset (trig | gauspuls | square)",
         epilog=preset_values,
     )
+    p.add_argument("--preset", choices=experiments.PRESETS, required=True)
+    p.add_argument("--matrix", choices=obs_matrix.METHODS, default="poisson")
+    p.add_argument("--p-terms", type=int, help="truncation length for --matrix truncated")
     _add_experiment_flags(p)
     p.add_argument("--jobs", type=int, default=1, help="ignored, kept for compatibility: runs are serial")
     _add_common_out(p)
@@ -410,7 +406,9 @@ def build_parser() -> _Parser:
         help="error and build time versus truncation length",
         epilog=preset_values,
     )
-    _add_experiment_flags(p, default_p_list=True)
+    p.add_argument("--preset", choices=experiments.PRESETS, default="trig")
+    p.add_argument("--p-list", default="2,20,200,2000,20000", help="comma-separated even truncation lengths")
+    _add_experiment_flags(p)
     _add_common_out(p, formats=())
     p.set_defaults(func=_cmd_sweep_p)
 

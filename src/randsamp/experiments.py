@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fourier import poisson_sensing, sensing_matrix
-from .obs_matrix import METHODS, ObservationMatrix, build, check_p_terms
+from .obs_matrix import METHODS, build, check_p_terms
 from .signals import (
     GaussPulseSignal,
     SquareSignal,
@@ -266,13 +266,12 @@ class ExperimentReport:
 
 @dataclass
 class Reconstruction:
-    """One fully materialized run: inputs, matrix, solver output, reference."""
+    """One fully materialized run: inputs, solver output, reference."""
 
     run_id: int
     seed: int
     times: np.ndarray
     measurements: np.ndarray
-    matrix: ObservationMatrix
     result: object
     reference: object
     error: float
@@ -286,8 +285,7 @@ def _run(
     The generator first yields the run's RunRecord; when the solver failed,
     its error is NaN and its times are those measured up to the failure.
     Resumed, it re-raises that NonConvergenceError, OverSelectionError or
-    SingularSystemError, or yields the run's Reconstruction. Taking only the
-    record leaves no reconstruction built and no matrix kept.
+    SingularSystemError, or yields the run's Reconstruction.
 
     build_time_s times what makes the operators the solvers read (for OMP on
     ``poisson``, only :func:`poisson_sensing`), solve_time_s the solvers.
@@ -321,9 +319,7 @@ def _run(
         yield RunRecord(run_id, seed, float("nan"), build_time, time.perf_counter() - tic)
         raise
     yield RunRecord(run_id, seed, error, build_time, time.perf_counter() - tic)
-    if m0 is None:
-        m0 = build(cfg.method, grid_times, plan.interval, plan.n_grid, cfg.p_terms)
-    yield Reconstruction(run_id, seed, times, samples.values, m0, result, reference, error)
+    yield Reconstruction(run_id, seed, times, samples.values, result, reference, error)
 
 
 def reconstruct_once(cfg: ExperimentConfig, run_id: int = 0) -> Reconstruction:

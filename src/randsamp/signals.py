@@ -16,6 +16,9 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 # Largest grid GaussPulseSignal.grid_points will size: 1 GiB of float64.
 MAX_GRID_POINTS = 2**27
+# Draws draw_random_times makes before it gives up on a window too narrow to
+# hold m distinct doubles.
+MAX_TIME_DRAWS = 100
 
 
 def _as_times(t) -> np.ndarray:
@@ -238,7 +241,9 @@ def draw_random_times(m: int, duration: float, t0: float = 0.0, seed: int = 0) -
 
     Deterministic for a given seed. Coincident values after sorting (a
     floating-point possibility) trigger a redraw of the whole set, so the
-    result is strictly increasing while staying i.i.d. uniform.
+    result is strictly increasing while staying i.i.d. uniform. After
+    MAX_TIME_DRAWS draws with a coincidence, ValueError is raised: the window
+    then holds too few doubles for m distinct times.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -247,10 +252,14 @@ def draw_random_times(m: int, duration: float, t0: float = 0.0, seed: int = 0) -
     if not math.isfinite(t0 + duration):
         raise ValueError(f"t0 and t0 + duration must be finite, got t0={t0}")
     rng = np.random.default_rng(seed)
-    while True:
+    for _ in range(MAX_TIME_DRAWS):
         times = np.sort(rng.uniform(t0, t0 + duration, size=m))
         if np.all(np.diff(times) > 0.0):
             return times
+    raise ValueError(
+        f"m={m} times drawn on [t0, t0 + duration) with t0={t0}, duration={duration} coincided in all "
+        f"{MAX_TIME_DRAWS} draws; the window holds too few distinct floating-point values"
+    )
 
 
 def sample_at(signal, times, duration: float | None = None, seed: int | None = None) -> RandomSampleSet:

@@ -234,12 +234,12 @@ def tv_gradient(x, epsilon: float) -> np.ndarray:
     return _circular_diff_adjoint(d / _smoothed_magnitude(d, epsilon))
 
 
-def operator_norm_sq(entries, iters: int = 20) -> float:
-    """Power-iteration estimate of ||A||_2^2, started from the all-ones vector
-    so the estimate is deterministic."""
+def operator_norm_sq(entries) -> float:
+    """Power-iteration estimate of ||A||_2^2 in 20 steps, started from the
+    all-ones vector so the estimate is deterministic."""
     a = np.asarray(entries, dtype=float)
     v = np.ones(a.shape[1]) / np.sqrt(a.shape[1])
-    for _ in range(iters):
+    for _ in range(20):
         w = a.T @ (a @ v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:

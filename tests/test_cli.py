@@ -177,6 +177,15 @@ class TestSweepCommand:
         assert "p_terms must be an even integer >= 2, got 3" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("flag", [["--matrix", "naive"], ["--p-terms", "200"]], ids=["matrix", "p-terms"])
+    def test_rejects_matrix_flags(self, run_cli, flag):
+        # Each row sets its own method and P, so sweep-p takes neither flag.
+        proc = run_cli("sweep-p", "--p-list", "2,20", "--runs", "2", *flag)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: randsamp")
+        assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestPipeline:
     def test_generate_sample_build_recover(self, run_cli, tmp_path):
@@ -291,6 +300,19 @@ class TestUsage:
     def test_no_subcommand_exits_1(self, run_cli):
         assert run_cli().returncode == 1
 
+    @pytest.mark.parametrize(
+        "spacing, message",
+        [(["--rate", "800", "--interval", "1"], "argument --interval: not allowed with argument --rate"),
+         ([], "one of the arguments --rate --interval is required")],
+        ids=["both", "neither"],
+    )
+    def test_generate_takes_exactly_one_of_rate_and_interval(self, run_cli, spacing, message):
+        # Given both, --rate used to win silently.
+        proc = run_cli("generate", "--signal", "trig", "--n", "3", *spacing)
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
     def test_help_everywhere(self, run_cli):
         assert run_cli("--help").returncode == 0
         for sub in ("generate", "sample", "build-matrix", "recover", "experiment", "sweep-p"):
@@ -385,7 +407,7 @@ class TestNumericFlags:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["generate", "--signal", "trig", "--n", "4", "--rate", "0", "--interval", "0.01"],
+            (["generate", "--signal", "trig", "--n", "4", "--rate", "0"],
              "--rate must be positive and finite, got 0.0"),
             (["generate", "--signal", "trig", "--n", "4", "--rate", "nan"], "--rate must be positive"),
             (["generate", "--signal", "gauspuls", "--rate", "nan"], "--rate must be positive"),
@@ -451,8 +473,14 @@ class TestExtremeFiniteInputs:
              "gives a grid of N="),
             (["build-matrix", "--times", "t.csv", "--interval", "1e-320", "--n", "8", "--out", "m.csv"],
              "times / interval must be finite"),
+            # windows holding fewer doubles than M: the time draw used to loop forever
+            (["sample", "--signal", "trig", "--m", "8", "--duration", "1e-15", "--t0", "1"],
+             "m=8 times drawn on [t0, t0 + duration) with t0=1.0, duration=1e-15 coincided"),
+            (["experiment", "--preset", "gauspuls", "--n", "928", "--rate", "1e300", "--runs", "1"],
+             "the window holds too few distinct floating-point values"),
         ],
-        ids=["fc-tiny", "fc-huge", "fc-grid-too-large", "interval-tiny"],
+        ids=["fc-tiny", "fc-huge", "fc-grid-too-large", "interval-tiny", "sample-window-too-narrow",
+             "experiment-window-too-narrow"],
     )
     def test_exit_1_without_traceback(self, run_cli, tmp_path, argv, message):
         (tmp_path / "t.csv").write_text("time\n0.5\n2.5\n")
@@ -519,6 +547,15 @@ class TestConfigFile:
 
     def test_missing_config_rejected(self, run_cli, tmp_path):
         assert run_cli("experiment", "--config", tmp_path / "nope.cfg").returncode == 1
+
+    def test_config_before_subcommand_rejected(self, run_cli, tmp_path):
+        # Spliced in as the command, the file's values read as "invalid choice".
+        config = tmp_path / "run.cfg"
+        config.write_text("runs=2\n")
+        proc = run_cli("--config", config, "experiment", "--preset", "trig")
+        assert proc.returncode == 1
+        assert proc.stderr == "randsamp: error: --config goes after the subcommand: randsamp COMMAND --config FILE\n"
+        assert proc.stdout == ""
 
 
 class TestOutDirEnv:

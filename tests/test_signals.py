@@ -240,6 +240,23 @@ class TestDrawRandomTimes:
         with pytest.raises(ValueError):
             draw_random_times(4, 0.0)
 
+    def test_first_draw_is_the_sorted_uniform_draw(self):
+        expected = np.sort(np.random.default_rng(3).uniform(0.5, 1.5, size=64))
+        assert np.array_equal(draw_random_times(64, 1.0, t0=0.5, seed=3), expected)
+
+    def test_redraws_until_distinct(self):
+        # [1, 1 + 1e-15) holds five doubles; seed 2's first two times coincide.
+        first = np.random.default_rng(2).uniform(1.0, 1.0 + 1e-15, size=2)
+        assert first[0] == first[1]
+        times = draw_random_times(2, 1e-15, t0=1.0, seed=2)
+        assert times[0] < times[1] and 1.0 <= times[0] and times[1] < 1.0 + 1e-15
+
+    def test_window_too_narrow_for_m_raises(self):
+        # Fewer doubles than m in the window: every redraw coincides, so the
+        # draw must stop instead of looping forever.
+        with pytest.raises(ValueError, match=r"m=100 .* t0=1\.0, duration=1e-15 coincided in all 100 draws"):
+            draw_random_times(100, 1e-15, 1.0, 0)
+
 
 class TestSampleAt:
     def test_single_point(self):

@@ -2,10 +2,14 @@
 recovery, and the bundled benchmark presets.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (every run failed).
-Every flag can also be supplied through ``--config FILE``, given after the
-subcommand, as ``key=value`` lines (booleans as true/false); explicit flags
-win over config values. If RANDSAMP_OUT_DIR is set, relative ``--out`` paths
-are placed inside it.
+Every flag can also be supplied through ``--config FILE`` or
+``--config=FILE``, given after the subcommand, as ``key=value`` lines
+(booleans as true/false). Each line becomes one ``--key=value`` token, so a
+negative value such as -4.6e-05 is not read as a flag. A flag given on the
+command line wins over its config value, and a config value over the library
+default; a given --rate or --interval also sets aside the config value of the
+other. If RANDSAMP_OUT_DIR is set, relative ``--out`` paths are placed inside
+it.
 """
 
 from __future__ import annotations
@@ -41,8 +45,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# generate takes exactly one of these grid spacings.
+_SPACING = {"--rate": "sample rate in Hz", "--interval": "sample interval in s"}
+
+
+def _names(token: str, flag: str) -> bool:
+    """Whether token gives flag: in full or as an abbreviation argparse
+    accepts, with or without =value."""
+    name = token.partition("=")[0]
+    return len(name) > 2 and flag.startswith(name)
+
+
 def _read_config_flags(path: str) -> list[str]:
-    """Turn key=value lines into CLI tokens (booleans into --flag/--no-flag)."""
+    """Turn key=value lines into --key=value tokens (booleans into --flag or
+    --no-flag)."""
     flags: list[str] = []
     try:
         text = Path(path).read_text()
@@ -59,22 +75,27 @@ def _read_config_flags(path: str) -> list[str]:
         if value.lower() in ("true", "false"):
             flags.append(name if value.lower() == "true" else "--no-" + name[2:])
         else:
-            flags.extend([name, value])
+            flags.append(f"{name}={value}")
     return flags
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Splice config-derived flags right after the subcommand so that flags
-    typed on the command line (which come later) win."""
-    if "--config" not in argv:
-        return argv
+    """Splice the flags of the --config file in right after the subcommand, so
+    that flags typed on the command line, which come later, win. A typed grid
+    spacing drops the config's, which argparse would reject beside it."""
+    path = None  # the last --config FILE or --config=FILE wins, as in argparse
+    for i, token in enumerate(argv):
+        if _names(token, "--config"):
+            _, eq, value = token.partition("=")
+            path = value if eq else (argv[i + 1] if i + 1 < len(argv) else None)
+    if path is None:
+        return argv  # no --config, or argparse reports its missing value
     if argv[0].startswith("-"):
         raise UsageError("--config goes after the subcommand: randsamp COMMAND --config FILE")
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    config_flags = _read_config_flags(argv[idx + 1])
-    return argv[:1] + config_flags + argv[1:]
+    config = _read_config_flags(path)
+    if any(_names(token, flag) for token in argv[1:] for flag in _SPACING):
+        config = [token for token in config if token.partition("=")[0] not in _SPACING]
+    return argv[:1] + config + argv[1:]
 
 
 def _resolve_out(path_str: str | None) -> Path | None:
@@ -98,25 +119,30 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
+def _given(**fields) -> dict:
+    """The keyword arguments whose value was supplied (is not None)."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
 def _make_signal(args) -> signals.ContinuousSignal:
     if args.signal == "trig":
         return signals.TrigSignal()
     if args.signal == "gauspuls":
         return signals.GaussPulseSignal(
-            center_freq=args.fc, bandwidth=args.bw, bwr_db=args.bwr, tpr_db=args.tpr
+            **_given(center_freq=args.fc, bandwidth=args.bw, bwr_db=args.bwr, tpr_db=args.tpr)
         )
-    return signals.SquareSignal(period=args.period, duty=args.duty, amplitude=args.amplitude)
+    return signals.SquareSignal(**_given(period=args.period, duty=args.duty, amplitude=args.amplitude))
 
 
 def _add_signal_flags(parser) -> None:
     parser.add_argument("--signal", choices=("trig", "gauspuls", "square"), required=True)
-    parser.add_argument("--fc", type=float, default=50e3, help="gauspuls center frequency [Hz]")
-    parser.add_argument("--bw", type=float, default=0.6, help="gauspuls fractional bandwidth")
-    parser.add_argument("--bwr", type=float, default=-6.0, help="gauspuls bandwidth reference level [dB]")
-    parser.add_argument("--tpr", type=float, default=-60.0, help="gauspuls truncation level [dB]")
-    parser.add_argument("--period", type=float, default=0.5, help="square-wave period [s]")
-    parser.add_argument("--duty", type=float, default=0.5, help="square-wave duty ratio in (0,1)")
-    parser.add_argument("--amplitude", type=float, default=1.0, help="square-wave amplitude")
+    parser.add_argument("--fc", type=float, help="gauspuls center frequency [Hz]")
+    parser.add_argument("--bw", type=float, help="gauspuls fractional bandwidth")
+    parser.add_argument("--bwr", type=float, help="gauspuls bandwidth reference level [dB]")
+    parser.add_argument("--tpr", type=float, help="gauspuls truncation level [dB]")
+    parser.add_argument("--period", type=float, help="square-wave period [s]")
+    parser.add_argument("--duty", type=float, help="square-wave duty ratio in (0,1)")
+    parser.add_argument("--amplitude", type=float, help="square-wave amplitude")
 
 
 def _add_common_out(parser, formats=("csv", "json")) -> None:
@@ -124,14 +150,6 @@ def _add_common_out(parser, formats=("csv", "json")) -> None:
     if formats:
         parser.add_argument("--format", choices=formats, default="csv")
     parser.add_argument("--config", help="key=value file supplying defaults for any flag")
-
-
-def _signal_t0(args, signal) -> float:
-    if args.t0 is not None:
-        return args.t0
-    if isinstance(signal, signals.GaussPulseSignal):
-        return -signal.cutoff_time
-    return 0.0
 
 
 def _series_csv(header: str, columns) -> str:
@@ -145,7 +163,7 @@ def _cmd_generate(args) -> int:
     if args.rate is not None and not 0.0 < args.rate < math.inf:
         raise UsageError(f"--rate must be positive and finite, got {args.rate}")
     interval = 1.0 / args.rate if args.rate is not None else args.interval
-    t0 = _signal_t0(args, signal)
+    t0 = signals.grid_origin(signal) if args.t0 is None else args.t0
     n = args.n
     if n is None and isinstance(signal, signals.GaussPulseSignal) and args.rate is not None:
         n = signal.grid_points(args.rate)
@@ -162,7 +180,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_sample(args) -> int:
     signal = _make_signal(args)
-    t0 = _signal_t0(args, signal)
+    t0 = signals.grid_origin(signal) if args.t0 is None else args.t0
     times = signals.draw_random_times(args.m, args.duration, t0, args.seed)
     sample = signals.sample_at(signal, times, duration=args.duration, seed=args.seed)
     if args.format == "csv":
@@ -210,8 +228,6 @@ def _cmd_build_matrix(args) -> int:
     if args.out is None:
         raise UsageError("build-matrix needs --out (matrix CSV is not written to stdout)")
     times = _read_column(args.times, "time") - args.t0
-    if args.method == "truncated" and args.p_terms is None:
-        raise UsageError("--method truncated needs --p-terms")
     matrix = obs_matrix.build(args.method, times, args.interval, args.n, args.p_terms)
     obs_matrix.save_matrix_csv(matrix, _resolve_out(args.out))
     return EXIT_OK
@@ -247,11 +263,6 @@ def _cmd_recover(args) -> int:
     return EXIT_OK
 
 
-def _given(**fields) -> dict:
-    """The keyword arguments whose value was supplied (is not None)."""
-    return {key: value for key, value in fields.items() if value is not None}
-
-
 def _solver_fields(args) -> tuple[dict, dict]:
     """The OmpConfig and TvConfig fields set by the solver flags given."""
     omp = _given(max_atoms=args.max_atoms, residual_tol=args.residual_tol)
@@ -263,16 +274,11 @@ def _solver_fields(args) -> tuple[dict, dict]:
 def _experiment_config(args) -> experiments.ExperimentConfig:
     # Solver flags override the OMP/TV configs of the plan resolved at the
     # given problem size, field by field; without such flags omp/tv stay None
-    # and each run takes its plan's own. The matrix method stays the default:
-    # experiment sets its own, sweep-p one per row.
+    # and each run takes its plan's own. experiment sets the matrix method.
     cfg = experiments.ExperimentConfig(
         preset=args.preset,
-        solver=args.solver,
-        runs=args.runs,
-        master_seed=args.seed,
-        m_samples=args.m,
-        n_grid=args.n,
-        sample_rate=args.rate,
+        **_given(solver=args.solver, runs=args.runs, master_seed=args.seed,
+                 m_samples=args.m, n_grid=args.n, sample_rate=args.rate),
     )
     omp_fields, tv_fields = _solver_fields(args)
     plan = experiments.resolve_plan(cfg)
@@ -296,7 +302,7 @@ def _emit_reports(text: str, out: Path | None, summary: str, reports) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = replace(_experiment_config(args), method=args.matrix, p_terms=args.p_terms)
+    cfg = replace(_experiment_config(args), **_given(method=args.matrix), p_terms=args.p_terms)
     out = _resolve_out(args.out)  # before the runs, so a bad --out costs none
     report = experiments.run_experiment(cfg)
     write = experiments.report_csv if args.format == "csv" else experiments.report_json
@@ -327,8 +333,8 @@ def _add_solver_flags(parser) -> None:
 
 def _add_experiment_flags(parser) -> None:
     parser.add_argument("--solver", choices=("omp", "tv"), help="default: preset's solver")
-    parser.add_argument("--runs", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0, help="master seed; each run derives its own")
+    parser.add_argument("--runs", type=int)
+    parser.add_argument("--seed", type=int, help="master seed; each run derives its own")
     parser.add_argument("--m", type=int, help="number of random samples (default: preset)")
     parser.add_argument("--n", type=int, help="grid length (default: preset)")
     parser.add_argument("--rate", type=float, help="grid sample rate in Hz (default: preset)")
@@ -341,6 +347,26 @@ def _add_experiment_flags(parser) -> None:
     _add_solver_flags(parser)
 
 
+def _hz(rate: float) -> str:
+    """A frequency with an SI prefix: 800 Hz, 50 kHz, 10 MHz."""
+    prefix, scale = ("M", 1e6) if rate >= 1e6 else ("k", 1e3) if rate >= 1e3 else ("", 1.0)
+    return f"{rate / scale:g} {prefix}Hz"
+
+
+def _preset_table() -> str:
+    """Each preset's signal, M, N, grid rate and solver, as resolve_plan sets them."""
+    entries = []
+    for preset in experiments.PRESETS:
+        plan = experiments.resolve_plan(experiments.ExperimentConfig(preset=preset))
+        sig = plan.signal
+        signal = (f"{len(sig.sin_freqs) + len(sig.cos_freqs)}-tone signal" if preset == "trig" else
+                  f"{_hz(sig.center_freq)} pulse with {sig.bandwidth:.0%} bandwidth" if preset == "gauspuls" else
+                  f"+-{sig.amplitude:g} wave with {plan.duration / sig.period:g} periods")
+        entries.append(f"{preset} = {signal}, M={plan.m_samples}, N={plan.n_grid}, "
+                       f"{_hz(1.0 / plan.interval)} grid, {plan.solver.upper()}")
+    return "preset defaults: " + "; ".join(entries)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="randsamp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -349,8 +375,8 @@ def build_parser() -> _Parser:
     _add_signal_flags(p)
     p.add_argument("--n", type=int, help="grid length (implied for gauspuls with --rate)")
     spacing = p.add_mutually_exclusive_group(required=True)
-    spacing.add_argument("--rate", type=float, help="sample rate in Hz")
-    spacing.add_argument("--interval", type=float, help="sample interval in s")
+    for flag, text in _SPACING.items():
+        spacing.add_argument(flag, type=float, help=text)
     p.add_argument("--t0", type=float, help="grid origin (default 0; gauspuls: -cutoff)")
     _add_common_out(p)
     p.set_defaults(func=_cmd_generate)
@@ -368,7 +394,9 @@ def build_parser() -> _Parser:
     p.add_argument("--times", required=True, help="CSV with a 'time' column (e.g. from sample)")
     p.add_argument("--interval", type=float, required=True, help="uniform grid interval in s")
     p.add_argument("--n", type=int, required=True, help="grid length")
-    p.add_argument("--t0", type=float, default=0.0, help="grid origin subtracted from the times")
+    p.add_argument("--t0", type=float, default=0.0,
+                   help="grid origin subtracted from the times (default 0; generate and sample start a gauspuls "
+                        "grid at -cutoff, so pass the first time of that grid, as --t0=VALUE when negative)")
     p.add_argument("--method", choices=obs_matrix.METHODS, default="poisson")
     p.add_argument("--p-terms", type=int, help="truncation length for --method truncated")
     _add_common_out(p, formats=())
@@ -383,18 +411,14 @@ def build_parser() -> _Parser:
     _add_common_out(p)
     p.set_defaults(func=_cmd_recover)
 
-    preset_values = (
-        "preset defaults: trig = four-tone signal, M=64, N=256, 800 Hz grid, OMP; "
-        "gauspuls = 50 kHz pulse with 60% bandwidth, M=93, N=928, 10 MHz grid, OMP; "
-        "square = +-1 wave with two periods, M=80, N=240, 240 Hz grid, TV"
-    )
+    preset_values = _preset_table()
     p = sub.add_parser(
         "experiment",
         help="run a benchmark preset (trig | gauspuls | square)",
         epilog=preset_values,
     )
     p.add_argument("--preset", choices=experiments.PRESETS, required=True)
-    p.add_argument("--matrix", choices=obs_matrix.METHODS, default="poisson")
+    p.add_argument("--matrix", choices=obs_matrix.METHODS)
     p.add_argument("--p-terms", type=int, help="truncation length for --matrix truncated")
     _add_experiment_flags(p)
     p.add_argument("--jobs", type=int, default=1, help="ignored, kept for compatibility: runs are serial")

@@ -27,6 +27,7 @@ from .signals import (
     SquareSignal,
     TrigSignal,
     draw_random_times,
+    grid_origin,
     sample_at,
     uniform_samples,
 )
@@ -77,14 +78,9 @@ def relative_l2_error(x_rec, x_ref) -> float:
 class ExperimentConfig:
     """One experiment: a signal preset, a matrix construction, a solver.
 
-    Preset defaults (m_samples, n_grid, sample_rate -> interval):
-
-    * trig:     M=64, N=256, 800 Hz grid over [0, 0.32 s)
-    * gauspuls: M=93, N=928, 10 MHz grid spanning the -60 dB pulse support
-    * square:   M=80, N=240, 240 Hz grid over [0, 1 s), two wave periods
-
-    Any of the optional fields override the preset; solver defaults to OMP
-    except for the square preset, which uses TV.
+    :func:`resolve_plan` gives each preset's M (m_samples), N (n_grid), grid
+    rate (sample_rate) and solver; ``randsamp experiment --help`` lists them.
+    Any of the optional fields override the preset's value.
     """
 
     preset: str
@@ -178,12 +174,12 @@ def _given_or(value, default):
 
 def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
     """Apply preset defaults and overrides to a concrete run plan."""
+    tv_init = "adjoint"
     if cfg.preset == "trig":
         signal = TrigSignal()
         rate = _given_or(cfg.sample_rate, 800.0)
         m = _given_or(cfg.m_samples, 64)
         n = _given_or(cfg.n_grid, 256)
-        t0 = 0.0
         solver = cfg.solver or "omp"
         omp = cfg.omp or _fit_default_budget(TRIG_OMP, m, n)
         tv = cfg.tv or TvConfig()
@@ -194,7 +190,6 @@ def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
         # grid_points is only consulted when N is not given, so its size
         # limit does not apply to an explicit n_grid.
         n = signal.grid_points(rate) if cfg.n_grid is None else cfg.n_grid
-        t0 = -signal.cutoff_time
         solver = cfg.solver or "omp"
         omp = cfg.omp or _fit_default_budget(GAUSPULS_OMP, m, n)
         tv = cfg.tv or TvConfig()
@@ -204,15 +199,12 @@ def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
         n = _given_or(cfg.n_grid, 240)
         # Two full periods across the grid, edges on grid points.
         signal = SquareSignal(period=n / (2.0 * rate), duty=0.5, amplitude=1.0)
-        t0 = 0.0
         solver = cfg.solver or "tv"
         omp = cfg.omp or _fit_default_budget(SQUARE_INIT_OMP, m, n)
         tv = cfg.tv or SQUARE_TV
-        interval = 1.0 / rate
-        return ResolvedPlan(signal, m, n, interval, t0, n * interval, solver, omp, tv,
-                            tv_init="spectral")
+        tv_init = "spectral"
     interval = 1.0 / rate
-    return ResolvedPlan(signal, m, n, interval, t0, n * interval, solver, omp, tv)
+    return ResolvedPlan(signal, m, n, interval, grid_origin(signal), n * interval, solver, omp, tv, tv_init)
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,12 @@ def _check_grid(interval: float, origin: float) -> None:
         raise ValueError(f"grid origin must be finite, got {origin}")
 
 
+def grid_origin(signal) -> float:
+    """Where a signal's grid starts unless told otherwise: at -cutoff_time for
+    a pulse, so that the grid covers its support; at 0 for any other signal."""
+    return -signal.cutoff_time if isinstance(signal, GaussPulseSignal) else 0.0
+
+
 def uniform_samples(signal, n: int, interval: float, t0: float = 0.0) -> UniformSignal:
     """Evaluate ``signal`` on the n-point grid t0 + k*interval, k = 0..n-1."""
     if n < 2:

@@ -264,6 +264,24 @@ class TestPipeline:
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 1 + 928
 
+    def test_gauspuls_pipeline_needs_the_grid_origin(self, run_cli, tmp_path):
+        # generate and sample start a pulse's grid at -cutoff, build-matrix
+        # --t0 defaults to 0: the grid's first time must be passed on.
+        assert run_cli("generate", "--signal", "gauspuls", "--rate", "1e7", "--out", "grid.csv").returncode == 0
+        assert run_cli("sample", "--signal", "gauspuls", "--m", "93", "--duration", "9.28e-5", "--seed", "3",
+                       "--out", "s.csv").returncode == 0
+        t0 = read_csv_column(tmp_path / "grid.csv", "time")[0]
+        assert float(t0) < 0.0
+        proc = run_cli("build-matrix", "--times", "s.csv", "--interval", "1e-7", "--n", "928", f"--t0={t0}",
+                       "--out", "m0.csv")
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "s.csv", "--max-atoms", "24",
+                       "--residual-tol", "1e-4", "--out", "rec.csv")
+        assert proc.returncode == 0, proc.stderr
+        grid = np.array([float(v) for v in read_csv_column(tmp_path / "grid.csv", "value")])
+        rec = np.array([float(v) for v in read_csv_column(tmp_path / "rec.csv", "value")])
+        assert np.linalg.norm(rec - grid) / np.linalg.norm(grid) < 1e-3
+
     def test_recover_tv_square(self, run_cli, tmp_path):
         samples = tmp_path / "samples.csv"
         matrix = tmp_path / "matrix.csv"
@@ -548,6 +566,47 @@ class TestConfigFile:
     def test_missing_config_rejected(self, run_cli, tmp_path):
         assert run_cli("experiment", "--config", tmp_path / "nope.cfg").returncode == 1
 
+    @pytest.mark.parametrize("spelling", [["--config=run.cfg"], ["--conf", "run.cfg"], ["--c=run.cfg"]],
+                             ids=["equals", "abbreviated", "abbreviated-equals"])
+    def test_every_spelling_of_config_is_read(self, run_cli, tmp_path, spelling):
+        # --config=FILE and argparse's abbreviations used to be accepted and ignored.
+        (tmp_path / "run.cfg").write_text("runs=2\n")
+        proc = run_cli("experiment", "--preset", "trig", *spelling)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + 2 + 1
+
+    def test_negative_exponent_value(self, run_cli, tmp_path):
+        # Spliced as "--t0" "-2.5e-01", the value used to read as a flag.
+        (tmp_path / "t.csv").write_text("time\n0.5\n2.5\n")
+        (tmp_path / "t.cfg").write_text("t0=-2.5e-01\n")
+        build = ("build-matrix", "--times", "t.csv", "--interval", "0.5", "--n", "8")
+        proc = run_cli(*build, "--config", "t.cfg", "--out", "config.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli(*build, "--t0=-2.5e-01", "--out", "flag.csv").returncode == 0
+        assert run_cli(*build, "--out", "zero.csv").returncode == 0
+        config = (tmp_path / "config.csv").read_text()
+        assert config == (tmp_path / "flag.csv").read_text() != (tmp_path / "zero.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "config, flag, second_time",
+        [("rate=800", ["--interval", "1"], "1.0"), ("interval=1", ["--rate", "800"], "0.00125"),
+         ("rate=800", ["--interval=1"], "1.0")],
+        ids=["interval-over-config-rate", "rate-over-config-interval", "interval-equals"],
+    )
+    def test_given_spacing_sets_aside_the_configs(self, run_cli, tmp_path, config, flag, second_time):
+        # argparse used to reject the pair: "argument --interval: not allowed with argument --rate".
+        (tmp_path / "g.cfg").write_text(config + "\n")
+        proc = run_cli("generate", "--signal", "trig", "--n", "4", "--config", "g.cfg", *flag)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[2].split(",")[0] == second_time
+
+    def test_both_spacings_given_still_rejected(self, run_cli, tmp_path):
+        (tmp_path / "g.cfg").write_text("rate=800\n")
+        proc = run_cli("generate", "--signal", "trig", "--n", "4", "--config", "g.cfg",
+                       "--rate", "800", "--interval", "1")
+        assert proc.returncode == 1
+        assert "argument --interval: not allowed with argument --rate" in proc.stderr
+
     def test_config_before_subcommand_rejected(self, run_cli, tmp_path):
         # Spliced in as the command, the file's values read as "invalid choice".
         config = tmp_path / "run.cfg"
@@ -613,6 +672,80 @@ class TestExperimentConfig:
         cfg = self.config("--preset", "gauspuls", "--m", "10", "--residual-tol", "1e-6")
         assert cfg.omp == OmpConfig(max_atoms=9, residual_tol=1e-6)
 
+
+
+class TestLibraryDefaults:
+    """The CLI states no default or convention of its own: what a flag leaves
+    unset, the library decides."""
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep-p"])
+    @pytest.mark.parametrize("preset", ["trig", "gauspuls", "square"])
+    def test_help_lists_each_presets_plan(self, run_cli, command, preset):
+        import re
+
+        from randsamp.experiments import ExperimentConfig, resolve_plan
+
+        plan = resolve_plan(ExperimentConfig(preset=preset))
+        text = " ".join(run_cli(command, "--help").stdout.split())
+        m, n, rate, scale, solver = re.search(
+            rf"{preset} = [^;]*?, M=(\d+), N=(\d+), ([\d.]+) (M|k|)Hz grid, (OMP|TV)", text
+        ).groups()
+        assert (int(m), int(n), solver) == (plan.m_samples, plan.n_grid, plan.solver.upper())
+        assert float(rate) * {"M": 1e6, "k": 1e3, "": 1.0}[scale] == pytest.approx(1.0 / plan.interval)
+
+    @pytest.mark.parametrize("preset", ["trig", "gauspuls", "square"])
+    def test_generate_without_signal_flags_gives_the_presets_reference(self, run_cli, tmp_path, preset):
+        # Same signal parameters and the same grid origin as the experiment's
+        # reference grid; the preset signals are the dataclass defaults.
+        from randsamp.experiments import ExperimentConfig, resolve_plan
+        from randsamp.signals import grid_origin, uniform_samples
+
+        plan = resolve_plan(ExperimentConfig(preset=preset))
+        assert plan.signal == type(plan.signal)()
+        out = tmp_path / "grid.json"
+        proc = run_cli("generate", "--signal", preset, "--n", plan.n_grid, "--interval", repr(plan.interval),
+                       "--format", "json", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        reference = uniform_samples(plan.signal, plan.n_grid, plan.interval, plan.t0)
+        assert doc["origin"] == plan.t0 == grid_origin(type(plan.signal)())
+        assert np.array_equal(doc["values"], reference.values)
+
+    def test_sample_draws_an_experiment_runs_times(self, run_cli, tmp_path):
+        from randsamp.experiments import ExperimentConfig, derive_run_seed, resolve_plan
+        from randsamp.signals import draw_random_times
+
+        plan = resolve_plan(ExperimentConfig(preset="gauspuls"))
+        seed = derive_run_seed(7, 0)
+        out = tmp_path / "s.csv"
+        proc = run_cli("sample", "--signal", "gauspuls", "--m", plan.m_samples, "--duration", repr(plan.duration),
+                       "--seed", seed, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        times = [float(v) for v in read_csv_column(out, "time")]
+        assert np.array_equal(times, draw_random_times(plan.m_samples, plan.duration, plan.t0, seed))
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep-p"])
+    def test_unset_run_flags_keep_the_config_defaults(self, command):
+        from randsamp.cli import _experiment_config, build_parser
+        from randsamp.experiments import ExperimentConfig
+
+        cfg = _experiment_config(build_parser().parse_args([command, "--preset", "trig"]))
+        assert cfg == ExperimentConfig(preset="trig")
+
+    def test_experiment_matrix_defaults_to_the_config_method(self, run_cli):
+        from randsamp.experiments import ExperimentConfig
+
+        proc = run_cli("experiment", "--preset", "trig", "--runs", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1].split(",")[3] == ExperimentConfig(preset="trig").method
+
+    def test_truncated_build_without_p_is_the_librarys_error(self, run_cli, tmp_path):
+        (tmp_path / "t.csv").write_text("time\n0.5\n2.5\n")
+        proc = run_cli("build-matrix", "--times", "t.csv", "--interval", "1", "--n", "8",
+                       "--method", "truncated", "--out", "m.csv")
+        assert proc.returncode == 1
+        assert proc.stderr == "randsamp: error: truncated method needs p_terms\n"
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestImports:

@@ -24,6 +24,7 @@ from randsamp.experiments import (
 )
 from randsamp.fourier import sensing_matrix
 from randsamp.obs_matrix import build_poisson
+from randsamp.signals import grid_origin
 from randsamp.solvers import NonConvergenceError, OmpConfig, OverSelectionError, TvConfig, omp_recover
 
 
@@ -87,6 +88,11 @@ class TestResolvePlan:
         assert plan.tv_init == "spectral"
         # two periods across the one-second window, edges on grid points
         assert plan.signal.period == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("preset", experiments.PRESETS)
+    def test_origin_is_the_signals_grid_origin(self, preset):
+        plan = resolve_plan(ExperimentConfig(preset=preset))
+        assert plan.t0 == grid_origin(plan.signal)
 
     def test_explicit_gauspuls_grid_skips_the_size_limit(self):
         # At 1e13 Hz the implied grid would exceed MAX_GRID_POINTS; a given N is used as is.

@@ -12,6 +12,7 @@ from randsamp.signals import (
     TrigSignal,
     UniformSignal,
     draw_random_times,
+    grid_origin,
     sample_at,
     uniform_samples,
 )
@@ -111,6 +112,13 @@ class TestUniformSamples:
     def test_two_point_grid(self):
         grid = uniform_samples(TRIG, 2, 0.1, t0=0.05)
         assert np.array_equal(grid.values, TRIG(grid.times))
+
+    def test_grid_origin(self):
+        # a pulse's grid starts at its support's left edge, any other at 0
+        assert grid_origin(PULSE) == -PULSE.cutoff_time < 0.0
+        assert grid_origin(GaussPulseSignal(center_freq=1e3)) == -GaussPulseSignal(center_freq=1e3).cutoff_time
+        assert grid_origin(TRIG) == 0.0
+        assert grid_origin(SquareSignal()) == 0.0
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ three observation-matrix constructions linking the uniform grid to the random
 sample times (:mod:`.obs_matrix`), the unitary DFT basis and the real
 sensing matrix (:mod:`.fourier`), OMP and total-variation recovery
 (:mod:`.solvers`), and a seeded benchmark harness (:mod:`.experiments`) with
-a CLI front end (:mod:`.cli`).
+a CLI front end (:mod:`.cli`). :mod:`.files` reads and writes their UTF-8
+text files.
 """
 
 from .experiments import (
@@ -46,6 +47,7 @@ from .solvers import (
     NonConvergenceError,
     OmpConfig,
     OverSelectionError,
+    RecoveryError,
     RecoveryResult,
     SingularSystemError,
     TvConfig,
@@ -68,6 +70,7 @@ __all__ = [
     "OverSelectionError",
     "RandomSampleSet",
     "Reconstruction",
+    "RecoveryError",
     "RecoveryResult",
     "RunRecord",
     "SingularSystemError",

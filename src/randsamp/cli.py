@@ -21,10 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import experiments, obs_matrix, signals, solvers
-from .experiments import _fmt, _json
+from . import experiments, files, obs_matrix, signals, solvers
 from .fourier import sensing_matrix
 
 EXIT_OK = 0
@@ -60,16 +57,11 @@ def _read_config_flags(path: str) -> list[str]:
     """Turn key=value lines into --key=value tokens (booleans into --flag or
     --no-flag)."""
     flags: list[str] = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for no, line in files.read_lines(path):
+        if line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"config line {line!r} is not key=value")
+            raise UsageError(f"{path}: line {no}: {line!r} is not key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         name = "--" + key.replace("_", "-")
         if value.lower() in ("true", "false"):
@@ -112,13 +104,6 @@ def _resolve_out(path_str: str | None) -> Path | None:
     return path
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
-
-
 def _given(**fields) -> dict:
     """The keyword arguments whose value was supplied (is not None)."""
     return {key: value for key, value in fields.items() if value is not None}
@@ -152,12 +137,6 @@ def _add_common_out(parser, formats=("csv", "json")) -> None:
     parser.add_argument("--config", help="key=value file supplying defaults for any flag")
 
 
-def _series_csv(header: str, columns) -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in zip(*columns))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_generate(args) -> int:
     signal = _make_signal(args)
     if args.rate is not None and not 0.0 < args.rate < math.inf:
@@ -171,10 +150,10 @@ def _cmd_generate(args) -> int:
         raise UsageError("generate needs --n (it is implied only for gauspuls with --rate)")
     grid = signals.uniform_samples(signal, n, interval, t0)
     if args.format == "csv":
-        text = _series_csv("time,value", (grid.times, grid.values))
+        text = files.csv_text("time,value", zip(grid.times, grid.values))
     else:
-        text = _json({"interval": interval, "origin": t0, "values": list(map(float, grid.values))})
-    _emit(text, _resolve_out(args.out))
+        text = files.json_text({"interval": interval, "origin": t0, "values": list(map(float, grid.values))})
+    files.write(text, _resolve_out(args.out))
     return EXIT_OK
 
 
@@ -184,9 +163,9 @@ def _cmd_sample(args) -> int:
     times = signals.draw_random_times(args.m, args.duration, t0, args.seed)
     sample = signals.sample_at(signal, times, duration=args.duration, seed=args.seed)
     if args.format == "csv":
-        text = _series_csv("time,value", (sample.times, sample.values))
+        text = files.csv_text("time,value", zip(sample.times, sample.values))
     else:
-        text = _json(
+        text = files.json_text(
             {
                 "seed": args.seed,
                 "duration": args.duration,
@@ -194,64 +173,35 @@ def _cmd_sample(args) -> int:
                 "values": list(map(float, sample.values)),
             }
         )
-    _emit(text, _resolve_out(args.out))
+    files.write(text, _resolve_out(args.out))
     return EXIT_OK
-
-
-def _read_column(path: str, column: str) -> np.ndarray:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    rows = [(no, ln.strip().split(",")) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not rows:
-        raise UsageError(f"{path}: empty file, expected a header with a {column!r} column")
-    header = rows[0][1]
-    if column not in header:
-        raise UsageError(f"{path}: no {column!r} column in header {header}")
-    idx = header.index(column)
-    values = []
-    for no, fields in rows[1:]:
-        if len(fields) <= idx:
-            raise UsageError(f"{path}: line {no} has no {column!r} field")
-        try:
-            value = float(fields[idx])
-        except ValueError:
-            raise UsageError(f"{path}: line {no}: {column!r} field {fields[idx]!r} is not a number") from None
-        if not math.isfinite(value):
-            raise UsageError(f"{path}: line {no}: {column!r} field {fields[idx]!r} is not finite")
-        values.append(value)
-    return np.array(values)
 
 
 def _cmd_build_matrix(args) -> int:
     if args.out is None:
         raise UsageError("build-matrix needs --out (matrix CSV is not written to stdout)")
-    times = _read_column(args.times, "time") - args.t0
+    times = files.read_column(args.times, "time") - args.t0
     matrix = obs_matrix.build(args.method, times, args.interval, args.n, args.p_terms)
     obs_matrix.save_matrix_csv(matrix, _resolve_out(args.out))
     return EXIT_OK
 
 
 def _cmd_recover(args) -> int:
-    try:
-        matrix = obs_matrix.load_matrix_csv(args.matrix)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.matrix}: {exc}") from exc
-    y = _read_column(args.measurements, "value")
+    matrix = obs_matrix.load_matrix_csv(args.matrix)
+    y = files.read_column(args.measurements, "value")
     omp_fields, tv_fields = _solver_fields(args)
     try:
         if args.solver == "omp":
             result = solvers.omp_recover(sensing_matrix(matrix), y, replace(solvers.OmpConfig(), **omp_fields))
         else:
             result = solvers.tv_recover(matrix, y, replace(solvers.TvConfig(), **tv_fields))
-    except (solvers.NonConvergenceError, solvers.OverSelectionError, solvers.SingularSystemError) as exc:
+    except solvers.RecoveryError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.format == "csv":
-        text = _series_csv("index,value", (np.arange(len(result.recovered)), result.recovered))
+        text = files.csv_text("index,value", enumerate(result.recovered))
     else:
-        text = _json(
+        text = files.json_text(
             {
                 "values": list(map(float, result.recovered)),
                 "support": result.support,
@@ -259,7 +209,7 @@ def _cmd_recover(args) -> int:
                 "final_residual": result.final_residual,
             }
         )
-    _emit(text, _resolve_out(args.out))
+    files.write(text, _resolve_out(args.out))
     return EXIT_OK
 
 
@@ -292,7 +242,7 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
 def _emit_reports(text: str, out: Path | None, summary: str, reports) -> int:
     """Write a report text, name the file written, and exit 2 when every run
     of every report failed."""
-    _emit(text, out)
+    files.write(text, out)
     if out is not None:
         print(f"{out}: {summary}")
     if all(report.n_failed == len(report.records) for report in reports):
@@ -306,7 +256,7 @@ def _cmd_experiment(args) -> int:
     out = _resolve_out(args.out)  # before the runs, so a bad --out costs none
     report = experiments.run_experiment(cfg)
     write = experiments.report_csv if args.format == "csv" else experiments.report_json
-    summary = f"{len(report.records)} runs, mean_error={_fmt(report.mean_error)}, failed={report.n_failed}"
+    summary = f"{len(report.records)} runs, mean_error={report.mean_error!r}, failed={report.n_failed}"
     return _emit_reports(write(report, include_timings=args.timings), out, summary, [report])
 
 

@@ -12,7 +12,6 @@ request, so that default artifacts are byte-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections.abc import Iterator
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .files import csv_text, json_text
 from .fourier import poisson_sensing, sensing_matrix
 from .obs_matrix import METHODS, build, check_p_terms
 from .signals import (
@@ -32,10 +32,8 @@ from .signals import (
     uniform_samples,
 )
 from .solvers import (
-    NonConvergenceError,
     OmpConfig,
-    OverSelectionError,
-    SingularSystemError,
+    RecoveryError,
     TvConfig,
     omp_recover,
     tv_recover,
@@ -276,8 +274,8 @@ def _run(
 
     The generator first yields the run's RunRecord; when the solver failed,
     its error is NaN and its times are those measured up to the failure.
-    Resumed, it re-raises that NonConvergenceError, OverSelectionError or
-    SingularSystemError, or yields the run's Reconstruction.
+    Resumed, it re-raises that RecoveryError, or yields the run's
+    Reconstruction.
 
     build_time_s times what makes the operators the solvers read (for OMP on
     ``poisson``, only :func:`poisson_sensing`), solve_time_s the solvers.
@@ -307,7 +305,7 @@ def _run(
             x_init = None if sensing is None else omp_recover(sensing, samples.values, plan.omp).recovered
             result = tv_recover(m0, samples.values, plan.tv, x_init=x_init)
         error = relative_l2_error(result.recovered, reference.values)
-    except (NonConvergenceError, OverSelectionError, SingularSystemError):
+    except RecoveryError:
         yield RunRecord(run_id, seed, float("nan"), build_time, time.perf_counter() - tic)
         raise
     yield RunRecord(run_id, seed, error, build_time, time.perf_counter() - tic)
@@ -363,17 +361,6 @@ def sweep_truncation(cfg: ExperimentConfig, p_list):
     return [(c.p_terms, run_experiment(c)) for c in configs]
 
 
-def _fmt(value: float) -> str:
-    """Shortest round-trip decimal for a float; 'nan' marks failed runs."""
-    return repr(float(value))
-
-
-def _json(doc) -> str:
-    """doc as strict JSON with sorted keys and a trailing newline; a NaN or
-    infinite float raises ValueError instead of being written."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _rows(report: ExperimentReport, include_timings: bool) -> list[tuple]:
     """The values every report writer reads: (run_id, seed, error,
     build_time_s, solve_time_s) per record, then the aggregate row ("mean",
@@ -384,21 +371,11 @@ def _rows(report: ExperimentReport, include_timings: bool) -> list[tuple]:
     return rows if include_timings else [row[:3] + (None, None) for row in rows]
 
 
-def _cell(value) -> str:
-    """A CSV field: floats as :func:`_fmt`, None as empty."""
-    if value is None:
-        return ""
-    return _fmt(value) if isinstance(value, float) else str(value)
-
-
 def report_csv(report: ExperimentReport, include_timings: bool = False) -> str:
     """Per-run rows plus a trailing aggregate row (run_id == 'mean')."""
-    p = "" if report.p_terms is None else report.p_terms
-    lines = [CSV_HEADER]
-    for run_id, seed, *values in _rows(report, include_timings):
-        row = (run_id, seed, report.preset, report.method, p, report.m_samples, report.n_grid, *values)
-        lines.append(",".join(map(_cell, row)))
-    return "\n".join(lines) + "\n"
+    fixed = (report.preset, report.method, report.p_terms, report.m_samples, report.n_grid)
+    rows = ((run_id, seed, *fixed, *values) for run_id, seed, *values in _rows(report, include_timings))
+    return csv_text(CSV_HEADER, rows)
 
 
 def report_json(report: ExperimentReport, include_timings: bool = False) -> str:
@@ -411,7 +388,7 @@ def report_json(report: ExperimentReport, include_timings: bool = False) -> str:
     mean = runs.pop()
     aggregates = {f"mean_{k}": mean[k] for k in fields[2:]}
     aggregates["n_failed"] = report.n_failed
-    return _json(
+    return json_text(
         {
             "signal": report.preset,
             "method": report.method,
@@ -428,8 +405,5 @@ def report_json(report: ExperimentReport, include_timings: bool = False) -> str:
 def sweep_csv(rows, include_timings: bool = True) -> str:
     """Aggregate row per truncation length (and the closed-form baseline),
     ready for log-log plotting."""
-    lines = [SWEEP_CSV_HEADER]
-    for p, report in rows:
-        means = _rows(report, include_timings)[-1][2:]
-        lines.append(",".join(map(_cell, (report.method, "" if p is None else p, *means))))
-    return "\n".join(lines) + "\n"
+    means = ((report.method, p, *_rows(report, include_timings)[-1][2:]) for p, report in rows)
+    return csv_text(SWEEP_CSV_HEADER, means)

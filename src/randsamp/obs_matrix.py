@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import csv_text, finite_field, read_lines, write
+
 # Distance from the nearest multiple of N below which the closed-form kernel
 # switches to its removable-singularity limit (exactly 1 for either parity of N).
 SINGULARITY_EPS = 1e-9
@@ -256,23 +258,8 @@ def save_matrix_csv(matrix: ObservationMatrix, path) -> None:
     then M rows of N comma-separated entries, row-major, shortest
     round-trip decimals.
     """
-    lines = ["M,N,method,P"]
-    p = "" if matrix.p_terms is None else str(matrix.p_terms)
-    lines.append(f"{matrix.m},{matrix.n_grid},{matrix.method},{p}")
-    for row in matrix.entries:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _csv_float(path, line_no: int, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{path}: line {line_no}: entry {text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{path}: line {line_no}: entry {text!r} is not finite")
-    return value
+    meta = (matrix.m, matrix.n_grid, matrix.method, matrix.p_terms)
+    write(csv_text("M,N,method,P", [meta, *matrix.entries]), path)
 
 
 def load_matrix_csv(path) -> ObservationMatrix:
@@ -280,10 +267,10 @@ def load_matrix_csv(path) -> ObservationMatrix:
 
     The layout stores the entries and the method and P tags, which is all an
     ObservationMatrix holds. A file that breaks the layout raises ValueError
-    naming the file and, where there is one, the line.
+    naming the file and, where there is one, the line; so does a file that
+    cannot be opened or decoded.
     """
-    with open(path) as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    lines = read_lines(path)
     if not lines or lines[0][1] != "M,N,method,P":
         raise ValueError(f"{path}: not a matrix CSV (missing M,N,method,P header)")
     if len(lines) == 1:
@@ -310,5 +297,5 @@ def load_matrix_csv(path) -> ObservationMatrix:
         values = row.split(",")
         if len(values) != n:
             raise ValueError(f"{path}: line {no}: expected {n} entries, found {len(values)}")
-        entries[i] = [_csv_float(path, no, v) for v in values]
+        entries[i] = [finite_field(path, no, "entry", v) for v in values]
     return ObservationMatrix(entries, method, p_terms=p)

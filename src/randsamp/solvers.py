@@ -25,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class SingularSystemError(RuntimeError):
+class RecoveryError(Exception):
+    """A recovery that ended without a result; each subclass keeps its
+    RuntimeError or ValueError base."""
+
+
+class SingularSystemError(RecoveryError, RuntimeError):
     """The least-squares system on the selected support is rank-deficient."""
 
     def __init__(self, support):
@@ -33,11 +38,11 @@ class SingularSystemError(RuntimeError):
         super().__init__(f"rank-deficient least-squares system on support {self.support}")
 
 
-class OverSelectionError(ValueError):
+class OverSelectionError(RecoveryError, ValueError):
     """OMP selected more DFT bins than there are measurements."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(RecoveryError, RuntimeError):
     """The objective kept increasing through repeated step halvings."""
 
     def __init__(self, history_length: int):

@@ -748,6 +748,79 @@ class TestLibraryDefaults:
         assert not (tmp_path / "m.csv").exists()
 
 
+class TestFileEncoding:
+    """Every file is read and written as UTF-8; a leading byte-order mark is
+    accepted, and a file that cannot be decoded is named."""
+
+    def inputs(self, run_cli, tmp_path):
+        """The README trig pipeline's samples and matrix, and a config file."""
+        assert run_cli("sample", "--signal", "trig", "--m", "64", "--duration", "0.32",
+                       "--seed", "11", "--out", "samples.csv").returncode == 0
+        assert run_cli("build-matrix", "--times", "samples.csv", "--interval", "0.00125", "--n", "256",
+                       "--out", "m0.csv").returncode == 0
+        (tmp_path / "run.cfg").write_text("runs=2\n")
+        return tmp_path / "samples.csv", tmp_path / "m0.csv", tmp_path / "run.cfg"
+
+    @staticmethod
+    def argv(role, path):
+        if role == "times":
+            return ["build-matrix", "--times", path, "--interval", "0.00125", "--n", "256", "--out", "m.csv"]
+        if role == "matrix":
+            return ["recover", "--matrix", path, "--measurements", "samples.csv"]
+        return ["experiment", "--preset", "trig", "--config", path]
+
+    @pytest.mark.parametrize("role", ["times", "matrix", "config"])
+    def test_undecodable_file_is_named(self, run_cli, tmp_path, role):
+        times, matrix, config = self.inputs(run_cli, tmp_path)
+        path = {"times": times, "matrix": matrix, "config": config}[role]
+        path.write_bytes(b"\xff" + path.read_bytes())
+        proc = run_cli(*self.argv(role, path))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"randsamp: error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                               "in position 0: invalid start byte\n")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("role", ["times", "matrix", "config"])
+    def test_byte_order_mark_is_accepted(self, run_cli, tmp_path, role):
+        # Spreadsheet tools and some editors write one.
+        times, matrix, config = self.inputs(run_cli, tmp_path)
+        path = {"times": times, "matrix": matrix, "config": config}[role]
+        marked = tmp_path / f"bom-{path.name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, with_mark = run_cli(*self.argv(role, path)), run_cli(*self.argv(role, marked))
+        assert with_mark.returncode == plain.returncode == 0, with_mark.stderr
+        assert with_mark.stdout == plain.stdout
+        if role == "times":
+            assert (tmp_path / "m.csv").read_text() == matrix.read_text()
+
+    def test_recover_csv_index_is_integers(self, run_cli, tmp_path):
+        self.inputs(run_cli, tmp_path)
+        proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "samples.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split(",")[0] for line in proc.stdout.splitlines()] == ["index", *map(str, range(256))]
+
+    def test_no_file_uses_the_locale_encoding(self, tmp_path):
+        # Under -X warn_default_encoding, an open() without an encoding warns;
+        # as an error, it fails the command.
+        (tmp_path / "run.cfg").write_text("preset=trig\nruns=2\nseed=7\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        for argv in (
+            ["generate", "--signal", "trig", "--n", "256", "--rate", "800", "--out", "grid.csv"],
+            ["sample", "--signal", "trig", "--m", "64", "--duration", "0.32", "--seed", "11", "--out", "samples.csv"],
+            ["build-matrix", "--times", "samples.csv", "--interval", "1.25e-3", "--n", "256", "--out", "m0.csv"],
+            ["recover", "--matrix", "m0.csv", "--measurements", "samples.csv", "--out", "recovered.csv"],
+            ["experiment", "--config", "run.cfg", "--out", "r.csv"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "randsamp",
+                 *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "recovered.csv").read_text().splitlines()) == 257
+        assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 2 + 1
+
+
 class TestImports:
     def test_package_loads_no_thread_pool(self):
         # Batches run serially, so importing the package or its CLI pulls in

@@ -454,6 +454,14 @@ class TestCsvInterchange:
         assert lines[0] == "M,N,method,P"
         assert lines[1] == "1,8,poisson,"
 
+    @pytest.mark.parametrize("content", [None, b"\xffM,N,method,P\n"], ids=["missing", "undecodable"])
+    def test_unreadable_file_names_the_file(self, tmp_path, content):
+        path = tmp_path / "matrix.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^cannot read {path}: "):
+            load_matrix_csv(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("time,value\n0.0,1.0\n")

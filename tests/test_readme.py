@@ -7,7 +7,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_library_example_recovers_trig_signal():
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library example") :]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     printed = io.StringIO()

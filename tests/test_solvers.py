@@ -11,6 +11,8 @@ from randsamp.signals import TrigSignal, draw_random_times, uniform_samples
 from randsamp.solvers import (
     NonConvergenceError,
     OmpConfig,
+    OverSelectionError,
+    RecoveryError,
     SingularSystemError,
     TvConfig,
     omp_recover,
@@ -401,3 +403,16 @@ class TestTvRecoverState:
         res = tv_recover(m0, y, TvConfig(step_size=1.0, max_iters=50), x_init=x_init)
         assert np.array_equal(x_init, kept)
         assert res.recovered is not x_init
+
+
+@pytest.mark.parametrize(
+    "error, base",
+    [(NonConvergenceError, RuntimeError), (OverSelectionError, ValueError), (SingularSystemError, RuntimeError)],
+)
+def test_every_solver_failure_is_a_recovery_error(error, base):
+    # One except clause catches a failed recovery; existing handlers of the
+    # RuntimeError or ValueError base still catch it too.
+    import randsamp
+
+    assert issubclass(error, RecoveryError) and issubclass(error, base)
+    assert randsamp.RecoveryError is RecoveryError

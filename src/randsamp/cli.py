@@ -190,11 +190,11 @@ def _cmd_recover(args) -> int:
     matrix = obs_matrix.load_matrix_csv(args.matrix)
     y = files.read_column(args.measurements, "value")
     omp_fields, tv_fields = _solver_fields(args)
+    omp, tv = replace(solvers.OmpConfig(), **omp_fields), replace(solvers.TvConfig(), **tv_fields)
+    if args.max_atoms is None:  # the default budget, fitted to the matrix as experiment fits a preset's
+        omp = solvers.fit_budget(omp, matrix.m, matrix.n_grid)
     try:
-        if args.solver == "omp":
-            result = solvers.omp_recover(sensing_matrix(matrix), y, replace(solvers.OmpConfig(), **omp_fields))
-        else:
-            result = solvers.tv_recover(matrix, y, replace(solvers.TvConfig(), **tv_fields))
+        result = solvers.solve(args.solver, sensing_matrix(matrix), matrix, y, omp, tv)
     except solvers.RecoveryError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -282,7 +282,7 @@ def _add_solver_flags(parser) -> None:
 
 
 def _add_experiment_flags(parser) -> None:
-    parser.add_argument("--solver", choices=("omp", "tv"), help="default: preset's solver")
+    parser.add_argument("--solver", choices=solvers.SOLVERS, help="default: preset's solver")
     parser.add_argument("--runs", type=int)
     parser.add_argument("--seed", type=int, help="master seed; each run derives its own")
     parser.add_argument("--m", type=int, help="number of random samples (default: preset)")
@@ -355,7 +355,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("recover", help="recover a uniform signal from a matrix and measurements")
     p.add_argument("--matrix", required=True, help="matrix CSV from build-matrix")
     p.add_argument("--measurements", required=True, help="CSV with a 'value' column (e.g. from sample)")
-    p.add_argument("--solver", choices=("omp", "tv"), default="omp")
+    p.add_argument("--solver", choices=solvers.SOLVERS, default="omp")
     _add_solver_flags(p)
     p.add_argument("--tv-grad-tol", type=float, help="TV stop once the gradient norm is at most this")
     _add_common_out(p)

@@ -31,13 +31,7 @@ from .signals import (
     sample_at,
     uniform_samples,
 )
-from .solvers import (
-    OmpConfig,
-    RecoveryError,
-    TvConfig,
-    omp_recover,
-    tv_recover,
-)
+from .solvers import SOLVERS, OmpConfig, RecoveryError, TvConfig, fit_budget, solve
 
 PRESETS = ("trig", "gauspuls", "square")
 
@@ -102,7 +96,7 @@ class ExperimentConfig:
             raise ValueError("truncated method needs p_terms")
         if self.p_terms is not None:
             check_p_terms(self.p_terms)
-        if self.solver is not None and self.solver not in ("omp", "tv"):
+        if self.solver is not None and self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
@@ -128,19 +122,14 @@ GAUSPULS_OMP = OmpConfig(max_atoms=24, residual_tol=1e-4)
 # interior error is at most 0.2 % above; 4 000 raised seed 11's worst
 # interior error by 38 %. The study is in ROADMAP item 2.
 SQUARE_TV = TvConfig(step_size=1.0, lam=None, epsilon=1e-3, max_iters=5_000, grad_tol=1e-8)
-# Warm-start budget for the square preset's TV solve (see ResolvedPlan.tv_init).
+# OMP budget of the square preset's warm start (see solvers.solve).
 SQUARE_INIT_OMP = OmpConfig(max_atoms=24, residual_tol=1e-6)
 
 
 @dataclass(frozen=True)
 class ResolvedPlan:
-    """Fully concrete experiment parameters after preset resolution.
-
-    tv_init selects the TV starting point: "adjoint" leaves the solver's
-    M0^T y default; "spectral" warm-starts from the OMP reconstruction (using
-    this plan's OmpConfig), which pins the transition locations so gradient
-    descent only has to flatten the ripples between them.
-    """
+    """Fully concrete experiment parameters after preset resolution; a TV
+    solve starts from the OMP reconstruction under this plan's OmpConfig."""
 
     signal: object
     m_samples: int
@@ -151,18 +140,11 @@ class ResolvedPlan:
     solver: str
     omp: OmpConfig
     tv: TvConfig
-    tv_init: str = "adjoint"
 
-
-def _fit_default_budget(omp: OmpConfig, m: int, n: int) -> OmpConfig:
-    """Clamp a preset's default OMP budget to an overridden problem size.
-
-    OMP adds a frequency pair's two bins at once and so can overshoot the
-    budget by one bin; the cap leaves room for that below M, where the
-    over-selection guard would trip. User-supplied configs are not touched.
-    """
-    cap = min(omp.max_atoms, max(1, m - 1), n)
-    return omp if cap == omp.max_atoms else replace(omp, max_atoms=cap)
+    @property
+    def tv_init(self) -> str:
+        """Always "spectral"; read only by perfbench's replay, and deleted once that follows the library."""
+        return "spectral"
 
 
 def _given_or(value, default):
@@ -171,15 +153,15 @@ def _given_or(value, default):
 
 
 def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
-    """Apply preset defaults and overrides to a concrete run plan."""
-    tv_init = "adjoint"
+    """Apply preset defaults and overrides to a concrete run plan; a preset's
+    OMP budget is fitted to M and N, a given cfg.omp is taken as it is."""
     if cfg.preset == "trig":
         signal = TrigSignal()
         rate = _given_or(cfg.sample_rate, 800.0)
         m = _given_or(cfg.m_samples, 64)
         n = _given_or(cfg.n_grid, 256)
         solver = cfg.solver or "omp"
-        omp = cfg.omp or _fit_default_budget(TRIG_OMP, m, n)
+        omp = cfg.omp or fit_budget(TRIG_OMP, m, n)
         tv = cfg.tv or TvConfig()
     elif cfg.preset == "gauspuls":
         signal = GaussPulseSignal()
@@ -189,7 +171,7 @@ def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
         # limit does not apply to an explicit n_grid.
         n = signal.grid_points(rate) if cfg.n_grid is None else cfg.n_grid
         solver = cfg.solver or "omp"
-        omp = cfg.omp or _fit_default_budget(GAUSPULS_OMP, m, n)
+        omp = cfg.omp or fit_budget(GAUSPULS_OMP, m, n)
         tv = cfg.tv or TvConfig()
     else:  # square
         rate = _given_or(cfg.sample_rate, 240.0)
@@ -198,11 +180,10 @@ def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
         # Two full periods across the grid, edges on grid points.
         signal = SquareSignal(period=n / (2.0 * rate), duty=0.5, amplitude=1.0)
         solver = cfg.solver or "tv"
-        omp = cfg.omp or _fit_default_budget(SQUARE_INIT_OMP, m, n)
+        omp = cfg.omp or fit_budget(SQUARE_INIT_OMP, m, n)
         tv = cfg.tv or SQUARE_TV
-        tv_init = "spectral"
     interval = 1.0 / rate
-    return ResolvedPlan(signal, m, n, interval, grid_origin(signal), n * interval, solver, omp, tv, tv_init)
+    return ResolvedPlan(signal, m, n, interval, grid_origin(signal), n * interval, solver, omp, tv)
 
 
 @dataclass(frozen=True)
@@ -278,7 +259,7 @@ def _run(
     Reconstruction.
 
     build_time_s times what makes the operators the solvers read (for OMP on
-    ``poisson``, only :func:`poisson_sensing`), solve_time_s the solvers.
+    ``poisson``, only :func:`poisson_sensing`), solve_time_s :func:`solve`.
     """
     seed = derive_run_seed(cfg.master_seed, run_id)
     times = draw_random_times(plan.m_samples, plan.duration, plan.t0, seed)
@@ -288,22 +269,16 @@ def _run(
     grid_times = times - plan.t0
 
     tic = time.perf_counter()
-    m0 = sensing = None
     if plan.solver == "omp" and cfg.method == "poisson":
-        sensing = poisson_sensing(grid_times, plan.interval, plan.n_grid)
+        m0, sensing = None, poisson_sensing(grid_times, plan.interval, plan.n_grid)
     else:
         m0 = build(cfg.method, grid_times, plan.interval, plan.n_grid, cfg.p_terms)
-        if plan.solver == "omp" or plan.tv_init == "spectral":
-            sensing = sensing_matrix(m0)
+        sensing = sensing_matrix(m0)
     build_time = time.perf_counter() - tic
 
     tic = time.perf_counter()
     try:
-        if plan.solver == "omp":
-            result = omp_recover(sensing, samples.values, plan.omp)
-        else:
-            x_init = None if sensing is None else omp_recover(sensing, samples.values, plan.omp).recovered
-            result = tv_recover(m0, samples.values, plan.tv, x_init=x_init)
+        result = solve(plan.solver, sensing, m0, samples.values, plan.omp, plan.tv)
         error = relative_l2_error(result.recovered, reference.values)
     except RecoveryError:
         yield RunRecord(run_id, seed, float("nan"), build_time, time.perf_counter() - tic)

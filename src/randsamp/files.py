@@ -8,6 +8,7 @@ usage error.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import sys
@@ -66,8 +67,9 @@ def finite_field(path, line_no: int, name: str, text: str) -> float:
 
 
 def read_column(path, column: str) -> np.ndarray:
-    """The finite numbers in the named column of a CSV file with a header."""
-    rows = [(no, line.split(",")) for no, line in read_lines(path)]
+    """The finite numbers in the named column of a CSV file with a header;
+    a field may be quoted, as spreadsheet tools write them."""
+    rows = [(no, next(csv.reader([line]))) for no, line in read_lines(path)]
     if not rows:
         raise ValueError(f"{path}: empty file, expected a header with a {column!r} column")
     header = rows[0][1]

@@ -1,6 +1,6 @@
 """Recovery of sparse spectra and gradient-sparse signals from random samples.
 
-Two solvers:
+Two solvers, which :func:`solve` runs as one pipeline step:
 
 * :func:`omp_recover` -- orthogonal matching pursuit for real signals on the
   sensing matrix A = M0 Psi* of a real M0, stored real as the columns Re a_j
@@ -20,9 +20,11 @@ Both are single-threaded and deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+SOLVERS = ("omp", "tv")
 
 
 class RecoveryError(Exception):
@@ -70,6 +72,17 @@ class OmpConfig:
             raise ValueError("max_atoms must be at least 1")
         if not 0.0 <= self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be nonnegative and finite, got {self.residual_tol}")
+
+
+def fit_budget(omp: OmpConfig, m: int, n: int) -> OmpConfig:
+    """omp with its max_atoms capped to an M x N problem.
+
+    OMP adds a frequency pair's two bins at once and so can overshoot the
+    budget by one bin; the cap leaves room for that below M, where the
+    over-selection guard would trip, and keeps the budget within N.
+    """
+    cap = min(omp.max_atoms, max(1, m - 1), n)
+    return omp if cap == omp.max_atoms else replace(omp, max_atoms=cap)
 
 
 @dataclass(frozen=True)
@@ -331,3 +344,13 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
         final_residual=float(np.linalg.norm(r)),
         objective_history=np.asarray(history),
     )
+
+
+def solve(solver: str, sensing, m0, y, omp: OmpConfig, tv: TvConfig) -> RecoveryResult:
+    """:func:`omp_recover` on the sensing matrix; for solver "tv", then
+    :func:`tv_recover` on m0 started from the OMP reconstruction, which pins
+    the transitions so the descent only flattens the ripples between them."""
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    result = omp_recover(sensing, y, omp)
+    return tv_recover(m0, y, tv, x_init=result.recovered) if solver == "tv" else result

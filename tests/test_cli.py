@@ -282,6 +282,50 @@ class TestPipeline:
         rec = np.array([float(v) for v in read_csv_column(tmp_path / "rec.csv", "value")])
         assert np.linalg.norm(rec - grid) / np.linalg.norm(grid) < 1e-3
 
+    @pytest.mark.parametrize("solver", ["omp", "tv"])
+    def test_recover_fits_the_default_budget_to_the_matrix(self, run_cli, tmp_path, solver):
+        # OmpConfig's 16 bins outgrow M=8; as in experiment, the default
+        # budget is capped below M, so neither solve over-selects.
+        assert run_cli("sample", "--signal", "square", "--period", "0.5", "--m", "8", "--duration", "1",
+                       "--seed", "3", "--out", "s.csv").returncode == 0
+        assert run_cli("build-matrix", "--times", "s.csv", "--interval", "0.0625", "--n", "16",
+                       "--out", "m0.csv").returncode == 0
+        proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "s.csv", "--solver", solver)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + 16
+
+    @pytest.mark.parametrize("preset", ["trig", "gauspuls", "square"])
+    def test_step_by_step_reproduces_the_preset(self, run_cli, tmp_path, preset):
+        # generate -> sample -> build-matrix -> recover, with the preset's
+        # sizes and solver settings as flags, gives run 0's error. Only OMP on
+        # a poisson matrix differs in its last bits: experiment reads the
+        # atoms at the sample times, recover the FFT of the M0 rows.
+        from randsamp.experiments import ExperimentConfig, resolve_plan
+
+        plan = resolve_plan(ExperimentConfig(preset=preset))
+        proc = run_cli("experiment", "--preset", preset, "--runs", "1", "--seed", "7")
+        assert proc.returncode == 0, proc.stderr
+        _, seed, *_, expected, _, _ = proc.stdout.splitlines()[1].split(",")
+        solver_flags = ["--solver", plan.solver, "--max-atoms", plan.omp.max_atoms,
+                        "--residual-tol", repr(plan.omp.residual_tol)]
+        if plan.solver == "tv":
+            assert plan.tv.lam is None  # the data-scaled default, which no flag sets
+            solver_flags += ["--tv-step", repr(plan.tv.step_size), "--tv-iters", plan.tv.max_iters,
+                             "--tv-epsilon", repr(plan.tv.epsilon), "--tv-grad-tol", repr(plan.tv.grad_tol)]
+        assert run_cli("generate", "--signal", preset, "--n", plan.n_grid, "--interval", repr(plan.interval),
+                       "--out", "grid.csv").returncode == 0
+        assert run_cli("sample", "--signal", preset, "--m", plan.m_samples, "--duration", repr(plan.duration),
+                       "--seed", seed, "--out", "s.csv").returncode == 0
+        t0 = read_csv_column(tmp_path / "grid.csv", "time")[0]
+        assert run_cli("build-matrix", "--times", "s.csv", "--interval", repr(plan.interval), "--n", plan.n_grid,
+                       f"--t0={t0}", "--out", "m0.csv").returncode == 0
+        proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "s.csv", *solver_flags, "--out", "rec.csv")
+        assert proc.returncode == 0, proc.stderr
+        grid = np.array([float(v) for v in read_csv_column(tmp_path / "grid.csv", "value")])
+        rec = np.array([float(v) for v in read_csv_column(tmp_path / "rec.csv", "value")])
+        error = np.linalg.norm(rec - grid) / np.linalg.norm(grid)
+        assert abs(error - float(expected)) <= 1e-9 * float(expected) + 1e-12, (error, expected)
+
     def test_recover_tv_square(self, run_cli, tmp_path):
         samples = tmp_path / "samples.csv"
         matrix = tmp_path / "matrix.csv"
@@ -792,6 +836,29 @@ class TestFileEncoding:
         assert with_mark.stdout == plain.stdout
         if role == "times":
             assert (tmp_path / "m.csv").read_text() == matrix.read_text()
+
+    @pytest.mark.parametrize("role", ["times", "measurements"])
+    def test_quoted_fields_are_read(self, run_cli, tmp_path, role):
+        # Spreadsheet tools quote every field: "time","value" / "0.5","1.0".
+        times, matrix, _ = self.inputs(run_cli, tmp_path)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text("".join(",".join(f'"{field}"' for field in line.split(",")) + "\n"
+                                  for line in times.read_text().splitlines()))
+        if role == "times":
+            proc = run_cli(*self.argv("times", quoted))
+            assert proc.returncode == 0, proc.stderr
+            assert (tmp_path / "m.csv").read_text() == matrix.read_text()
+        else:
+            plain, with_quotes = (run_cli("recover", "--matrix", matrix, "--measurements", path)
+                                  for path in (times, quoted))
+            assert with_quotes.returncode == plain.returncode == 0, with_quotes.stderr
+            assert with_quotes.stdout == plain.stdout
+
+    def test_quoted_field_errors_name_file_and_line(self, run_cli, tmp_path):
+        (tmp_path / "q.csv").write_text('"time","value"\n"0.5","1.0"\n"2,5","1.0"\n')
+        proc = run_cli(*self.argv("times", "q.csv"))
+        assert proc.returncode == 1
+        assert proc.stderr == "randsamp: error: q.csv: line 3: 'time' field '2,5' is not a number\n"
 
     def test_recover_csv_index_is_integers(self, run_cli, tmp_path):
         self.inputs(run_cli, tmp_path)

@@ -268,6 +268,15 @@ def test_square_tv_budget_stops_before_the_error_rises():
     assert means["budget"][1] <= means["20000"][1], means
 
 
+def test_tv_on_the_pulse_starts_from_omp():
+    # Every TV solve starts from the OMP reconstruction. Started from M0^T y,
+    # as it was for every preset but square, runs 0-1 of seed 7 read a mean
+    # error of 0.73; from OMP they read 0.040.
+    report = run_experiment(ExperimentConfig(preset="gauspuls", solver="tv", runs=2, master_seed=7))
+    assert report.n_failed == 0
+    assert report.mean_error < 0.1
+
+
 class TestSensingWithoutM0:
     """OMP on a ``poisson`` matrix reads the atoms at the sample times and
     builds no M0, in a batch or in a single reconstruction."""

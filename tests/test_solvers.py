@@ -15,8 +15,10 @@ from randsamp.solvers import (
     RecoveryError,
     SingularSystemError,
     TvConfig,
+    fit_budget,
     omp_recover,
     operator_norm_sq,
+    solve,
     total_variation,
     tv_gradient,
     tv_recover,
@@ -416,3 +418,31 @@ def test_every_solver_failure_is_a_recovery_error(error, base):
 
     assert issubclass(error, RecoveryError) and issubclass(error, base)
     assert randsamp.RecoveryError is RecoveryError
+
+
+class TestSolve:
+    """solve is the one solve step of the experiment runs and of recover."""
+
+    def test_tv_starts_from_the_omp_reconstruction(self):
+        m0, y = random_tv_problem(12, 32, 5)
+        sensing = sensing_matrix(m0)
+        omp, tv = OmpConfig(max_atoms=6, residual_tol=1e-6), TvConfig(step_size=1.0, max_iters=50)
+        warm = omp_recover(sensing, y, omp)
+        assert np.array_equal(solve("omp", sensing, None, y, omp, tv).recovered, warm.recovered)
+        expected = tv_recover(m0, y, tv, x_init=warm.recovered)
+        got = solve("tv", sensing, m0, y, omp, tv)
+        assert np.array_equal(got.recovered, expected.recovered)
+        assert np.array_equal(got.objective_history, expected.objective_history)
+
+    def test_unknown_solver_rejected(self):
+        m0, y = random_tv_problem(12, 32, 5)
+        with pytest.raises(ValueError, match="unknown solver 'lasso'"):
+            solve("lasso", sensing_matrix(m0), m0, y, OmpConfig(), TvConfig())
+
+    @pytest.mark.parametrize(
+        "m, n, cap",
+        [(64, 256, 16), (17, 256, 16), (16, 256, 15), (8, 16, 7), (1, 16, 1), (40, 10, 10)],
+    )
+    def test_fit_budget_leaves_room_for_a_last_pair_below_m(self, m, n, cap):
+        fitted = fit_budget(OmpConfig(max_atoms=16, residual_tol=1e-6), m, n)
+        assert fitted == OmpConfig(max_atoms=cap, residual_tol=1e-6)

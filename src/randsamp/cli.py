@@ -1,7 +1,8 @@
 """Command-line front end: signal generation, sampling, matrix building,
 recovery, and the bundled benchmark presets.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (every run failed).
+Exit codes: 0 success, 1 usage error, 2 numerical failure (every run failed,
+or recover failed).
 Every flag can also be supplied through ``--config FILE`` or
 ``--config=FILE``, given after the subcommand, as ``key=value`` lines
 (booleans as true/false). Each line becomes one ``--key=value`` token, so a
@@ -34,8 +35,27 @@ class UsageError(Exception):
     pass
 
 
+class _NegativeNumber:
+    r"""argparse's test for a negative number among the arguments: any token
+    that starts with '-' and that float() reads. argparse's own pattern,
+    ^-\d+$|^-\d*\.\d+$, takes -4.6e-05 for a flag."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that raises instead of exiting, so main() can return 1."""
+    """ArgumentParser that raises instead of exiting, so main() can return 1,
+    and that reads every negative number as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -137,7 +157,14 @@ def _add_common_out(parser, formats=("csv", "json")) -> None:
     parser.add_argument("--config", help="key=value file supplying defaults for any flag")
 
 
+def _write_table(args, out: Path | None, header: str, rows, doc: dict) -> int:
+    """Write rows as CSV, or doc as JSON, as --format asks."""
+    files.write(files.csv_text(header, rows) if args.format == "csv" else files.json_text(doc), out)
+    return EXIT_OK
+
+
 def _cmd_generate(args) -> int:
+    out = _resolve_out(args.out)
     signal = _make_signal(args)
     if args.rate is not None and not 0.0 < args.rate < math.inf:
         raise UsageError(f"--rate must be positive and finite, got {args.rate}")
@@ -149,68 +176,51 @@ def _cmd_generate(args) -> int:
     if n is None:
         raise UsageError("generate needs --n (it is implied only for gauspuls with --rate)")
     grid = signals.uniform_samples(signal, n, interval, t0)
-    if args.format == "csv":
-        text = files.csv_text("time,value", zip(grid.times, grid.values))
-    else:
-        text = files.json_text({"interval": interval, "origin": t0, "values": list(map(float, grid.values))})
-    files.write(text, _resolve_out(args.out))
-    return EXIT_OK
+    doc = {"interval": interval, "origin": t0, "values": list(map(float, grid.values))}
+    return _write_table(args, out, "time,value", zip(grid.times, grid.values), doc)
 
 
 def _cmd_sample(args) -> int:
+    out = _resolve_out(args.out)
     signal = _make_signal(args)
     t0 = signals.grid_origin(signal) if args.t0 is None else args.t0
     times = signals.draw_random_times(args.m, args.duration, t0, args.seed)
     sample = signals.sample_at(signal, times, duration=args.duration, seed=args.seed)
-    if args.format == "csv":
-        text = files.csv_text("time,value", zip(sample.times, sample.values))
-    else:
-        text = files.json_text(
-            {
-                "seed": args.seed,
-                "duration": args.duration,
-                "times": list(map(float, sample.times)),
-                "values": list(map(float, sample.values)),
-            }
-        )
-    files.write(text, _resolve_out(args.out))
-    return EXIT_OK
+    doc = {
+        "seed": args.seed,
+        "duration": args.duration,
+        "times": list(map(float, sample.times)),
+        "values": list(map(float, sample.values)),
+    }
+    return _write_table(args, out, "time,value", zip(sample.times, sample.values), doc)
 
 
 def _cmd_build_matrix(args) -> int:
     if args.out is None:
         raise UsageError("build-matrix needs --out (matrix CSV is not written to stdout)")
+    out = _resolve_out(args.out)
     times = files.read_column(args.times, "time") - args.t0
     matrix = obs_matrix.build(args.method, times, args.interval, args.n, args.p_terms)
-    obs_matrix.save_matrix_csv(matrix, _resolve_out(args.out))
+    obs_matrix.save_matrix_csv(matrix, out)
     return EXIT_OK
 
 
 def _cmd_recover(args) -> int:
+    out = _resolve_out(args.out)
     matrix = obs_matrix.load_matrix_csv(args.matrix)
     y = files.read_column(args.measurements, "value")
     omp_fields, tv_fields = _solver_fields(args)
-    omp, tv = replace(solvers.OmpConfig(), **omp_fields), replace(solvers.TvConfig(), **tv_fields)
-    if args.max_atoms is None:  # the default budget, fitted to the matrix as experiment fits a preset's
-        omp = solvers.fit_budget(omp, matrix.m, matrix.n_grid)
-    try:
-        result = solvers.solve(args.solver, sensing_matrix(matrix), matrix, y, omp, tv)
-    except solvers.RecoveryError as exc:
-        print(f"recovery failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    if args.format == "csv":
-        text = files.csv_text("index,value", enumerate(result.recovered))
-    else:
-        text = files.json_text(
-            {
-                "values": list(map(float, result.recovered)),
-                "support": result.support,
-                "iterations": result.iterations,
-                "final_residual": result.final_residual,
-            }
-        )
-    files.write(text, _resolve_out(args.out))
-    return EXIT_OK
+    # the default budget fitted to the matrix, as experiment fits a preset's
+    omp = replace(solvers.fit_budget(solvers.OmpConfig(), matrix.m, matrix.n_grid), **omp_fields)
+    tv = replace(solvers.TvConfig(), **tv_fields)
+    result = solvers.solve(args.solver, sensing_matrix(matrix), matrix, y, omp, tv)
+    doc = {
+        "values": list(map(float, result.recovered)),
+        "support": result.support,
+        "iterations": result.iterations,
+        "final_residual": result.final_residual,
+    }
+    return _write_table(args, out, "index,value", enumerate(result.recovered), doc)
 
 
 def _solver_fields(args) -> tuple[dict, dict]:
@@ -346,7 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="grid length")
     p.add_argument("--t0", type=float, default=0.0,
                    help="grid origin subtracted from the times (default 0; generate and sample start a gauspuls "
-                        "grid at -cutoff, so pass the first time of that grid, as --t0=VALUE when negative)")
+                        "grid at -cutoff, so pass the first time of that grid)")
     p.add_argument("--method", choices=obs_matrix.METHODS, default="poisson")
     p.add_argument("--p-terms", type=int, help="truncation length for --method truncated")
     _add_common_out(p, formats=())
@@ -395,6 +405,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_inject_config(argv))
         return args.func(args)
+    except solvers.RecoveryError as exc:  # before ValueError, which OverSelectionError also is
+        print(f"recovery failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (UsageError, ValueError) as exc:
         print(f"randsamp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

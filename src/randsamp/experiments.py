@@ -92,9 +92,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
         if self.method not in METHODS:
             raise ValueError(f"unknown matrix method {self.method!r}")
-        if self.method == "truncated" and self.p_terms is None:
-            raise ValueError("truncated method needs p_terms")
-        if self.p_terms is not None:
+        if self.method == "truncated":  # the other methods ignore p_terms
+            if self.p_terms is None:
+                raise ValueError("truncated method needs p_terms")
             check_p_terms(self.p_terms)
         if self.solver is not None and self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
@@ -108,10 +108,9 @@ class ExperimentConfig:
             raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
 
 
-# Solver settings used by the presets. The trig stopping rule covers the
-# signal's 7 occupied bins with margin; the gauspuls budget keeps the
-# dominant spectral lobe of the pulse.
-TRIG_OMP = OmpConfig(max_atoms=16, residual_tol=1e-12)
+# Solver settings used by the presets. The trig preset takes OmpConfig's
+# defaults, whose 16 bins cover the signal's 7 occupied bins with margin; the
+# gauspuls budget keeps the dominant spectral lobe of the pulse.
 GAUSPULS_OMP = OmpConfig(max_atoms=24, residual_tol=1e-4)
 # The square preset's TV step cap is an early-stopping regularizer, not a
 # convergence budget: the descent never meets grad_tol, and its error first
@@ -161,7 +160,7 @@ def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
         m = _given_or(cfg.m_samples, 64)
         n = _given_or(cfg.n_grid, 256)
         solver = cfg.solver or "omp"
-        omp = cfg.omp or fit_budget(TRIG_OMP, m, n)
+        omp = cfg.omp or fit_budget(OmpConfig(), m, n)
         tv = cfg.tv or TvConfig()
     elif cfg.preset == "gauspuls":
         signal = GaussPulseSignal()
@@ -377,7 +376,7 @@ def report_json(report: ExperimentReport, include_timings: bool = False) -> str:
     )
 
 
-def sweep_csv(rows, include_timings: bool = True) -> str:
+def sweep_csv(rows, include_timings: bool = False) -> str:
     """Aggregate row per truncation length (and the closed-form baseline),
     ready for log-log plotting."""
     means = ((report.method, p, *_rows(report, include_timings)[-1][2:]) for p, report in rows)

@@ -66,10 +66,15 @@ def finite_field(path, line_no: int, name: str, text: str) -> float:
     return value
 
 
+def read_rows(path) -> list[tuple[int, list[str]]]:
+    """The fields of each non-blank line of a CSV file, with the line's
+    1-based number; a field may be quoted, as spreadsheet tools write them."""
+    return [(no, next(csv.reader([line]))) for no, line in read_lines(path)]
+
+
 def read_column(path, column: str) -> np.ndarray:
-    """The finite numbers in the named column of a CSV file with a header;
-    a field may be quoted, as spreadsheet tools write them."""
-    rows = [(no, next(csv.reader([line]))) for no, line in read_lines(path)]
+    """The finite numbers in the named column of a CSV file with a header."""
+    rows = read_rows(path)
     if not rows:
         raise ValueError(f"{path}: empty file, expected a header with a {column!r} column")
     header = rows[0][1]

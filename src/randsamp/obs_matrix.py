@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import csv_text, finite_field, read_lines, write
+from .files import csv_text, finite_field, read_rows, write
 
 # Distance from the nearest multiple of N below which the closed-form kernel
 # switches to its removable-singularity limit (exactly 1 for either parity of N).
@@ -270,13 +270,13 @@ def load_matrix_csv(path) -> ObservationMatrix:
     naming the file and, where there is one, the line; so does a file that
     cannot be opened or decoded.
     """
-    lines = read_lines(path)
-    if not lines or lines[0][1] != "M,N,method,P":
+    rows = read_rows(path)
+    if not rows or rows[0][1] != ["M", "N", "method", "P"]:
         raise ValueError(f"{path}: not a matrix CSV (missing M,N,method,P header)")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: line {lines[0][0]}: header is not followed by the M,N,method,P values")
-    no, meta = lines[1]
-    fields = meta.split(",")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: line {rows[0][0]}: header is not followed by the M,N,method,P values")
+    no, fields = rows[1]
+    meta = ",".join(fields)
     if len(fields) != 4:
         raise ValueError(f"{path}: line {no}: expected the 4 values M,N,method,P, found {len(fields)}")
     m_str, n_str, method, p_str = fields
@@ -287,14 +287,13 @@ def load_matrix_csv(path) -> ObservationMatrix:
         raise ValueError(f"{path}: line {no}: M, N and P must be integers, got {meta!r}") from None
     if m < 1 or n < 1 or method not in METHODS:
         raise ValueError(f"{path}: line {no}: expected M, N >= 1 and a method in {METHODS}, got {meta!r}")
-    rows = lines[2:]
-    if len(rows) != m:
+    body = rows[2:]
+    if len(body) != m:
         # the first row past M, or the file's last line when rows are missing
-        no = rows[m][0] if len(rows) > m else lines[-1][0]
-        raise ValueError(f"{path}: line {no}: expected {m} matrix rows, found {len(rows)}")
+        no = body[m][0] if len(body) > m else rows[-1][0]
+        raise ValueError(f"{path}: line {no}: expected {m} matrix rows, found {len(body)}")
     entries = np.empty((m, n))
-    for i, (no, row) in enumerate(rows):
-        values = row.split(",")
+    for i, (no, values) in enumerate(body):
         if len(values) != n:
             raise ValueError(f"{path}: line {no}: expected {n} entries, found {len(values)}")
         entries[i] = [finite_field(path, no, "entry", v) for v in values]

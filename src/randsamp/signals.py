@@ -138,7 +138,7 @@ class GaussPulseSignal:
 
     def __call__(self, t):
         tt = _as_times(t)
-        out = np.exp(-(tt * tt) / (2.0 * self.time_variance)) * np.cos(TWO_PI * self.center_freq * tt)
+        out = self.envelope(tt) * np.cos(TWO_PI * self.center_freq * tt)
         return float(out) if np.ndim(t) == 0 else out
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -147,13 +148,15 @@ class TestExperimentCommand:
         assert max(float(e) for e in read_csv_column(out, "error")) < 0.05
 
     def test_closed_form_rows_carry_no_p(self, run_cli, tmp_path):
+        # poisson ignores P, so it does not check one either
         out = tmp_path / "r.csv"
-        proc = run_cli(
-            "experiment", "--preset", "trig", "--matrix", "poisson", "--p-terms", "200",
-            "--runs", "2", "--seed", "7", "--out", out,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert read_csv_column(out, "P") == ["", "", ""]
+        for p_terms in ("200", "3"):
+            proc = run_cli(
+                "experiment", "--preset", "trig", "--matrix", "poisson", "--p-terms", p_terms,
+                "--runs", "2", "--seed", "7", "--out", out,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert read_csv_column(out, "P") == ["", "", ""]
 
 
 class TestSweepCommand:
@@ -281,6 +284,17 @@ class TestPipeline:
         grid = np.array([float(v) for v in read_csv_column(tmp_path / "grid.csv", "value")])
         rec = np.array([float(v) for v in read_csv_column(tmp_path / "rec.csv", "value")])
         assert np.linalg.norm(rec - grid) / np.linalg.norm(grid) < 1e-3
+
+    def test_negative_t0_after_a_space_is_a_value(self, run_cli, tmp_path):
+        # argparse's own pattern takes a negative number with an exponent for a flag
+        assert run_cli("sample", "--signal", "gauspuls", "--m", "8", "--duration", "9.28e-5", "--seed", "3",
+                       "--out", "s.csv").returncode == 0
+        build = ("build-matrix", "--times", "s.csv", "--interval", "1e-7", "--n", "64")
+        t0 = "-4.635491741357094e-05"
+        for t0_flag, out in ((["--t0", t0], "space.csv"), ([f"--t0={t0}"], "eq.csv")):
+            proc = run_cli(*build, *t0_flag, "--out", out)
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "space.csv").read_bytes() == (tmp_path / "eq.csv").read_bytes()
 
     @pytest.mark.parametrize("solver", ["omp", "tv"])
     def test_recover_fits_the_default_budget_to_the_matrix(self, run_cli, tmp_path, solver):
@@ -703,11 +717,11 @@ class TestExperimentConfig:
         assert cfg.omp is None
 
     def test_omp_flags_keep_other_preset_fields(self):
-        from randsamp.experiments import GAUSPULS_OMP, TRIG_OMP
+        from randsamp.experiments import GAUSPULS_OMP
         from randsamp.solvers import OmpConfig
 
         assert self.config("--preset", "trig", "--max-atoms", "8").omp == OmpConfig(
-            max_atoms=8, residual_tol=TRIG_OMP.residual_tol
+            max_atoms=8, residual_tol=OmpConfig().residual_tol
         )
         cfg = self.config("--preset", "gauspuls", "--residual-tol", "1e-6")
         assert cfg.omp == OmpConfig(max_atoms=GAUSPULS_OMP.max_atoms, residual_tol=1e-6)
@@ -837,20 +851,22 @@ class TestFileEncoding:
         if role == "times":
             assert (tmp_path / "m.csv").read_text() == matrix.read_text()
 
-    @pytest.mark.parametrize("role", ["times", "measurements"])
+    @pytest.mark.parametrize("role", ["times", "measurements", "matrix"])
     def test_quoted_fields_are_read(self, run_cli, tmp_path, role):
         # Spreadsheet tools quote every field: "time","value" / "0.5","1.0".
         times, matrix, _ = self.inputs(run_cli, tmp_path)
         quoted = tmp_path / "quoted.csv"
-        quoted.write_text("".join(",".join(f'"{field}"' for field in line.split(",")) + "\n"
-                                  for line in times.read_text().splitlines()))
+        with quoted.open("w", encoding="utf-8", newline="") as f:
+            csv.writer(f, quoting=csv.QUOTE_ALL).writerows(
+                line.split(",") for line in (matrix if role == "matrix" else times).read_text().splitlines()
+            )
         if role == "times":
             proc = run_cli(*self.argv("times", quoted))
             assert proc.returncode == 0, proc.stderr
             assert (tmp_path / "m.csv").read_text() == matrix.read_text()
         else:
-            plain, with_quotes = (run_cli("recover", "--matrix", matrix, "--measurements", path)
-                                  for path in (times, quoted))
+            pairs = [(matrix, times), (quoted, times) if role == "matrix" else (matrix, quoted)]
+            plain, with_quotes = (run_cli("recover", "--matrix", m0, "--measurements", y) for m0, y in pairs)
             assert with_quotes.returncode == plain.returncode == 0, with_quotes.stderr
             assert with_quotes.stdout == plain.stdout
 

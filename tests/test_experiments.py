@@ -399,11 +399,12 @@ class TestSerialization:
 
     def test_sweep_csv(self):
         rows = sweep_truncation(small_trig_config(runs=2), [2])
-        lines = sweep_csv(rows).splitlines()
+        lines = sweep_csv(rows, include_timings=True).splitlines()
         assert lines[0] == "method,P,mean_error,mean_build_time_s,mean_solve_time_s"
         assert lines[1].startswith("truncated,2,")
         assert lines[2].startswith("poisson,,")
-        no_timing = sweep_csv(rows, include_timings=False).splitlines()
+        assert not lines[1].endswith(",,")
+        no_timing = sweep_csv(rows).splitlines()
         assert no_timing[1].endswith(",,")
 
     def test_p_terms_column_round_trip(self):

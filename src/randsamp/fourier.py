@@ -9,8 +9,13 @@ precision and Parseval holds without scale factors. Both cost O(N log N) and
 no N x N matrix is formed.
 
 The sensing matrix A = M0 Psi* of a real M0 has a_{N-j} = conj(a_j), so it
-is stored real, M x N: Re a_j for j = 0..N//2, then Im a_j for j = 1, 2, ...
-(the Im parts of DC and even-N Nyquist are zero and left out).
+is stored real, M x N, in FFTPACK halfcomplex column order:
+Re a_0, Re a_1, Im a_1, Re a_2, Im a_2, ..., ending Re a_{N/2} for even N
+and Im a_{(N-1)/2} for odd N (the Im parts of DC and even-N Nyquist are zero
+and left out). Frequency j >= 1 thus sits in columns 2j - 1 and 2j. That is
+the interleaved complex table of a_0..a_{N//2} read as floats from its
+second slot, so both producers return a view of the complex table, with
+Re a_0 copied into Im a_0's slot, and no second array is made.
 :func:`sensing_matrix` takes it as the real FFT of M0's rows, for any M0. For
 a ``poisson`` M0 the atoms a_j = e^{2 pi i j u / N} / sqrt(N), u = t / T, are
 the one closed form: ``obs_matrix.build_poisson`` is their inverse real FFT,
@@ -34,22 +39,28 @@ def dft_adjoint(coeffs) -> np.ndarray:
     return np.fft.ifft(coeffs, norm="ortho")
 
 
+def _halfcomplex(atoms, n_grid: int) -> np.ndarray:
+    """Real M x N view, in the halfcomplex layout above, of an M x W complex
+    table whose column j is a_j, for W >= N//2 + 1. Overwrites Im a_0."""
+    flat = atoms.view(float)
+    flat[:, 1] = flat[:, 0]
+    return flat[:, 1 : n_grid + 1]
+
+
 def poisson_sensing(times, interval: float, n_grid: int) -> np.ndarray:
     """Real sensing matrix of ``build_poisson(times, interval, n_grid)``: by
     Poisson summation, the atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T,
     with phases reduced exactly. Times are measured from the grid origin, as
-    for the builders.
+    for the builders. A view of a fresh atom table.
     """
-    atoms = _poisson_atoms(times, interval, n_grid)
-    return np.concatenate((atoms.real, atoms.imag[:, 1 : n_grid - n_grid // 2]), axis=1)
+    return _halfcomplex(_poisson_atoms(times, interval, n_grid), n_grid)
 
 
 def sensing_matrix(m0) -> np.ndarray:
     """Real M x N sensing matrix ``m0.entries @ R`` in the layout above, R
-    being the Re and Im parts of the adjoint DFT's columns: the real FFT of
-    M0's rows, whose bin j is the conjugate of a_j. For a ``poisson`` M0 it
+    being the Re and Im parts of the adjoint DFT's columns: the conjugated
+    real FFT of M0's rows, whose bin j is a_j. For a ``poisson`` M0 it
     matches :func:`poisson_sensing` at the sample times to ~1e-16.
     """
-    n = m0.n_grid
     half = np.fft.rfft(m0.entries, axis=1, norm="ortho")
-    return np.concatenate((half.real, -half.imag[:, 1 : n - n // 2]), axis=1)
+    return _halfcomplex(np.conjugate(half, out=half), m0.n_grid)

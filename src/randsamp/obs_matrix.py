@@ -194,11 +194,13 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
 
 
 def _poisson_atoms(times, interval: float, n_grid: int) -> np.ndarray:
-    """Complex M x (N//2 + 1) Fourier atoms e^{2 pi i j u / N} / sqrt(N) at
-    u = t / T, j = 0..N//2. With u = k + f, k = round(u), phase j u / N is
-    ((j k mod N) + j f) / N, reduced exactly. With B = ceil(sqrt(N//2 + 1)),
-    atom b B + c is the product of a coarse table at j = b B and a fine one
-    at j = c.
+    """Complex Fourier atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T, in a
+    fresh M x W table with column j = 0..W-1, W >= N//2 + 1. With u = k + f,
+    k = round(u), phase j u / N is ((j k mod N) + j f) / N, reduced exactly.
+    With B = ceil(sqrt(N//2 + 1)), atom b B + c is the product of a coarse
+    table at j = b B and a fine one at j = c; W = B ceil((N//2 + 1) / B)
+    keeps the whole product, so that ``fourier.poisson_sensing`` can read it
+    in place.
     """
     u = _check_args(times, interval, n_grid)
     k = np.round(u)
@@ -212,7 +214,7 @@ def _poisson_atoms(times, interval: float, n_grid: int) -> np.ndarray:
 
     fine = table(np.arange(b)) / math.sqrt(n_grid)
     coarse = table(b * np.arange(-(-h // b)))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(u), -1)[:, :h]
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(u), -1)
 
 
 def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
@@ -226,7 +228,8 @@ def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
     whose phases are reduced exactly. Rows with u_m an exact integer are set
     to the exact unit vector, where the FFT leaves ~1e-17 off the diagonal.
     """
-    entries = np.fft.irfft(_poisson_atoms(times, interval, n_grid).conj(), n=n_grid, norm="ortho")
+    atoms = _poisson_atoms(times, interval, n_grid)[:, : n_grid // 2 + 1]
+    entries = np.fft.irfft(atoms.conj(), n=n_grid, norm="ortho")
     u = _check_args(times, interval, n_grid)
     on_grid = np.flatnonzero(u == np.round(u))
     entries[on_grid] = 0.0

@@ -3,10 +3,15 @@
 Two solvers, which :func:`solve` runs as one pipeline step:
 
 * :func:`omp_recover` -- orthogonal matching pursuit for real signals on the
-  sensing matrix A = M0 Psi* of a real M0, stored real as the columns Re a_j
-  and Im a_j. Greedily selects the frequency whose (normalized) column pair
-  best correlates with the residual, takes bins j and N-j, then re-fits all
-  selected frequencies by real least squares.
+  sensing matrix A = M0 Psi* of a real M0, stored real in halfcomplex order
+  (Re a_0, Re a_1, Im a_1, Re a_2, Im a_2, ...). Greedily selects the
+  frequency whose (normalized) column pair best correlates with the residual
+  and takes bins j and N-j. The residual is y with its projection onto the
+  selected columns removed, through an orthonormal basis grown one column at
+  a time by classical Gram-Schmidt applied twice; one real least-squares fit
+  on the final columns gives the coefficients. A column whose orthogonal
+  remainder is at most M * eps times its norm, or a rank-deficient final
+  fit, raises SingularSystemError.
 * :func:`tv_recover` -- gradient descent on a smoothed total-variation
   objective, for signals whose variation rather than spectrum is sparse:
   J(x) = 0.5 ||M0 x - y||^2 + lam * sum_n sqrt((x[n+1]-x[n])^2 + eps^2)
@@ -142,17 +147,21 @@ def _measurements(y, m: int) -> np.ndarray:
 def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     """Greedy recovery of the real signal behind real measurements y.
 
-    sensing is the real M x N sensing matrix of a real M0 (see
-    :func:`~randsamp.fourier.sensing_matrix`): Re a_j in columns 0..N//2 and
-    Im a_j, j = 1, 2, ..., in the columns after them. A complex matrix or a
-    non-finite y raises ValueError. Per iteration: (1) pick the frequency j maximizing
-    |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins j and N-j, or
-    one bin for DC and Nyquist; (2) least-squares re-fit y over the columns
-    Re a_j and Im a_j of the selected frequencies (Re a_j alone for DC and
-    Nyquist); (3) update the real residual. Stops when the support reaches
-    cfg.max_atoms bins or the residual drops below cfg.residual_tol * ||y||.
-    A support that outgrows the M measurements raises OverSelectionError, and
-    a rank-deficient re-fit SingularSystemError. The spectrum is Hermitian by
+    sensing is the real M x N sensing matrix of a real M0 in halfcomplex
+    order (see :mod:`~randsamp.fourier`): Re a_0, then Re a_j and Im a_j in
+    columns 2j - 1 and 2j. A complex matrix or a non-finite y raises
+    ValueError. Per iteration: (1) pick the frequency j maximizing
+    |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins j and N-j,
+    or one bin for DC and Nyquist; (2) orthogonalize its columns Re a_j and
+    Im a_j (Re a_j alone for DC and Nyquist) against those selected before,
+    by classical Gram-Schmidt applied twice; (3) project y onto the grown
+    orthonormal basis for the residual. Stops when the support reaches
+    cfg.max_atoms bins or the residual drops below cfg.residual_tol * ||y||,
+    then takes the coefficients from one least-squares fit of y over the
+    selected columns. A support that outgrows the M measurements raises
+    OverSelectionError. A column whose orthogonal remainder is at most
+    M * eps times its norm raises SingularSystemError at that iteration, as
+    does a final fit of less than full rank. The spectrum is Hermitian by
     construction, and the time-domain output is its inverse real FFT.
     """
     a = np.asarray(sensing)
@@ -163,53 +172,69 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     if cfg.max_atoms > n:
         raise ValueError("max_atoms cannot exceed the number of columns")
     h = n // 2 + 1
-    with_im = slice(1, n - h + 1)  # frequencies j with a column Im a_j, at h + j - 1
     self_paired = [0] if n % 2 else [0, n // 2]  # bins that are their own partner
+
+    # Column c of a is slot c + 1 of `slots`, read as the complex `pairs`:
+    # pair j holds the values of Re a_j and Im a_j, and the slots with no
+    # column (DC's first, even-N Nyquist's last) stay zero.
+    slots = np.zeros(2 * h)
+    pairs = slots.view(complex)
     sq_norms = np.einsum("ij,ij->j", a, a)
-    sq_norms[with_im] += sq_norms[h:]
-    col_norms = np.sqrt(sq_norms[:h])
+    slots[1 : n + 1] = sq_norms
+    col_norms = np.sqrt(pairs.real + pairs.imag)
     col_norms = np.where(col_norms > 0.0, col_norms, 1.0)
+    singular_tol = m * np.finfo(float).eps
     y_norm = float(np.linalg.norm(y))
     residual = y
-    corr_im = np.zeros(h)
+    basis = np.empty((min(cfg.max_atoms + 1, m), m))  # orthonormal rows, one per column picked
     picked: list[int] = []  # frequencies
     support: list[int] = []  # their DFT bins
     columns: list[int] = []  # their columns of a, one per real unknown
-    coeffs = np.zeros(0)
     history = [y_norm]
 
-    while np.linalg.norm(residual) > cfg.residual_tol * y_norm and len(support) < cfg.max_atoms:
-        corr = residual @ a
-        corr_im[with_im] = corr[h:]
-        score = np.hypot(corr[:h], corr_im) / col_norms
+    while history[-1] > cfg.residual_tol * y_norm and len(support) < cfg.max_atoms:
+        np.matmul(residual, a, out=slots[1 : n + 1])
+        score = np.abs(pairs) / col_norms
         score[picked] = -1.0
         pick = int(np.argmax(score))
         picked.append(pick)
-        paired = pick not in self_paired
-        support += [pick, n - pick] if paired else [pick]
-        columns += [pick, h + pick - 1] if paired else [pick]
+        new = [c for c in (2 * pick - 1, 2 * pick) if 0 <= c < n]
+        support += [pick, n - pick] if len(new) == 2 else [pick]
         if len(support) > m:
             raise OverSelectionError(f"support size {len(support)} exceeds the {m} measurements")
-        a_sub = a[:, columns]
-        coeffs, _, rank, _ = np.linalg.lstsq(a_sub, y, rcond=None)
-        if rank < len(columns):
-            raise SingularSystemError(support)
-        residual = y - a_sub @ coeffs
+        for c in new:
+            q = basis[: len(columns)]
+            v = a[:, c] - (q @ a[:, c]) @ q
+            v -= (q @ v) @ q
+            remainder = math.sqrt(v @ v)
+            if remainder <= singular_tol * math.sqrt(sq_norms[c]):
+                raise SingularSystemError(support)
+            np.divide(v, remainder, out=basis[len(columns)])
+            columns.append(c)
+        q = basis[: len(columns)]
+        residual = y - (q @ y) @ q
         history.append(float(np.linalg.norm(residual)))
 
+    a_sub = a[:, columns]
+    coeffs, _, rank, _ = np.linalg.lstsq(a_sub, y, rcond=None)
+    if rank < len(columns):
+        raise SingularSystemError(support)
+    history[-1] = float(np.linalg.norm(y - a_sub @ coeffs))
+
     # y = sum_j 2 Re(a_j c_j) over the pairs plus a_j c_j at DC and Nyquist,
-    # so c_j = (alpha_j - i beta_j) / 2 for the weights of Re a_j and Im a_j.
-    w = np.zeros(n)
-    w[columns] = coeffs
-    half = 0.5 * w[:h] + 0j
-    half.imag[with_im] = -0.5 * w[h:]
+    # so c_j = (alpha_j - i beta_j) / 2 for the weights of Re a_j and Im a_j,
+    # laid out in `slots` with DC's weight moved to its Re slot.
+    slots[:] = 0.0
+    slots[np.add(columns, 1)] = coeffs
+    slots[:2] = slots[1], 0.0
+    half = 0.5 * pairs.conj()
     half[self_paired] *= 2.0
     return RecoveryResult(
         recovered=np.fft.irfft(half, n=n, norm="ortho"),
         spectrum=np.concatenate((half, half[n - h : 0 : -1].conj())),
         support=support,
         iterations=len(picked),
-        final_residual=float(np.linalg.norm(residual)),
+        final_residual=history[-1],
         residual_history=np.asarray(history),
     )
 

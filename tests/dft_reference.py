@@ -14,10 +14,17 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp((-2j * np.pi / n) * phase) / np.sqrt(n)
 
 
+def halfcomplex(half, n: int) -> np.ndarray:
+    """Real n columns of the complex columns 0..n//2 of half, in halfcomplex
+    order: Re 0, then Re j and Im j for j = 1, 2, ... (the Im part of
+    even-n Nyquist is left out)."""
+    columns = [half[:, 0].real]
+    for j in range(1, n // 2 + 1):
+        columns += [half[:, j].real, half[:, j].imag]
+    return np.column_stack(columns)[:, :n]
+
+
 def real_dft_basis(n: int) -> np.ndarray:
-    """Real n x n basis R with sensing_matrix(m0) == m0.entries @ R: the real
-    parts of columns 0..n//2 of conj(F), then the imaginary parts of columns
-    1..n - n//2 - 1 (those of DC and even-n Nyquist are zero and left out)."""
-    adjoint = dft_matrix(n).conj()
-    h = n // 2 + 1
-    return np.concatenate((adjoint[:, :h].real, adjoint[:, 1 : n - h + 1].imag), axis=1)
+    """Real n x n basis R with sensing_matrix(m0) == m0.entries @ R: the
+    columns of conj(F) in halfcomplex order."""
+    return halfcomplex(dft_matrix(n).conj(), n)

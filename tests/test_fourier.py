@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, strategies as st
 
-from dft_reference import dft_matrix, real_dft_basis
+from dft_reference import dft_matrix, halfcomplex, real_dft_basis
 from randsamp.fourier import dft_adjoint, dft_forward, poisson_sensing, sensing_matrix
 from randsamp.obs_matrix import build, build_poisson
 from randsamp.signals import TrigSignal, uniform_samples
@@ -151,6 +151,16 @@ class TestPoissonSensing:
         assert atoms.shape == (len(times), n)
         assert np.max(np.abs(atoms - via_fft)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [928, 927])
+    def test_both_producers_return_agreeing_views(self, n):
+        # each reads the halfcomplex layout in place from its complex table
+        times = np.sort(np.random.default_rng(n).uniform(0.0, float(n), size=93))
+        via_atoms = poisson_sensing(times, 1.0, n)
+        via_fft = sensing_matrix(build_poisson(times, 1.0, n))
+        assert via_atoms.shape == via_fft.shape == (93, n)
+        assert not via_atoms.flags.owndata and not via_fft.flags.owndata
+        assert np.max(np.abs(via_atoms - via_fft)) <= 2e-16
+
     def test_phases_reduced_exactly(self):
         # reference atoms from phases j u mod N taken in exact rational
         # arithmetic; an unreduced phase 2 pi j u / N (up to ~1e4 rad here)
@@ -158,7 +168,7 @@ class TestPoissonSensing:
         n, h = 928, 465
         u = np.random.default_rng(41).uniform(-4.0 * n, 6.0 * n, size=12)
         phase = np.array([[float(Fraction(v) * j % n) for j in range(h)] for v in u]) * (2 * np.pi / n)
-        ref = np.concatenate((np.cos(phase), np.sin(phase)[:, 1 : n - h + 1]), axis=1) / np.sqrt(n)
+        ref = halfcomplex(np.cos(phase) + 1j * np.sin(phase), n) / np.sqrt(n)
         assert np.max(np.abs(poisson_sensing(u, 1.0, n) - ref)) <= 2e-15
 
     def test_argument_validation(self):

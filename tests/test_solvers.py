@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from dft_reference import dft_matrix, real_dft_basis
-from randsamp.fourier import dft_adjoint, sensing_matrix
+from omp_reference import omp_reference
+from randsamp.experiments import ExperimentConfig, derive_run_seed, resolve_plan
+from randsamp.fourier import dft_adjoint, poisson_sensing, sensing_matrix
 from randsamp.obs_matrix import build_poisson
 from randsamp.signals import TrigSignal, draw_random_times, uniform_samples
 from randsamp.solvers import (
@@ -78,8 +80,7 @@ class TestOmp:
             # oracle: the frequency whose real columns give the best least-squares fit
             best_j, best_res = None, np.inf
             for j in range(h):
-                cols = [a[:, j]] if j in (0, n // 2) else [a[:, j], a[:, h + j - 1]]
-                basis = np.column_stack(cols)
+                basis = a[:, max(2 * j - 1, 0) : 2 * j + 1]  # Re a_j, and Im a_j unless j is 0 or n/2
                 c = np.linalg.lstsq(basis, y, rcond=None)[0]
                 r = np.linalg.norm(y - basis @ c)
                 if r < best_res:
@@ -174,6 +175,46 @@ class TestOmp:
                 omp_recover(complex_layout, np.ones(4), OmpConfig(max_atoms=4))
         res = omp_recover(sensing_matrix(m0), np.ones(4), OmpConfig(max_atoms=4))
         assert res.iterations >= 1
+
+
+class TestOmpAgainstReference:
+    """omp_recover against the per-iteration least-squares OMP of
+    tests/omp_reference.py: same support and iteration count, and the same
+    signal to 1e-12 relative (one final fit on the same columns gives it)."""
+
+    @staticmethod
+    def assert_same(a, y, cfg):
+        res = omp_recover(a, y, cfg)
+        support, iterations, recovered = omp_reference(a, y, cfg.max_atoms, cfg.residual_tol)
+        assert res.support == support
+        assert res.iterations == iterations
+        assert np.linalg.norm(res.recovered - recovered) <= 1e-12 * np.linalg.norm(recovered)
+
+    @pytest.mark.parametrize("n", [128, 127])
+    def test_random_problems_from_3_to_93_samples(self, n):
+        # per M: a dense y, which runs to the budget, and a 3-frequency
+        # sparse one, which stops on the residual tolerance when M allows
+        rng = np.random.default_rng(n)
+        for m in range(3, 94, 5):
+            a = random_sensing(m, n, rng)
+            budget = fit_budget(OmpConfig(max_atoms=24, residual_tol=0.0), m, n)
+            self.assert_same(a, rng.standard_normal(m), budget)
+            freqs = rng.choice(np.arange(1, n // 2), size=3, replace=False)
+            y = real_measurement(a, hermitian_spectrum(n, freqs, np.exp(2j * np.pi * rng.random(3))))
+            self.assert_same(a, y, fit_budget(OmpConfig(max_atoms=24, residual_tol=1e-12), m, n))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"preset": "trig"}, {"preset": "gauspuls"}, {"preset": "gauspuls", "sample_rate": 9.99e6}, {"preset": "square"}],
+        ids=["trig", "gauspuls", "gauspuls-odd-n", "square"],
+    )
+    def test_fifty_preset_runs(self, overrides):
+        cfg = ExperimentConfig(master_seed=7, **overrides)
+        plan = resolve_plan(cfg)
+        for run_id in range(50):
+            times = draw_random_times(plan.m_samples, plan.duration, plan.t0, derive_run_seed(cfg.master_seed, run_id))
+            a = poisson_sensing(times - plan.t0, plan.interval, plan.n_grid)
+            self.assert_same(a, plan.signal(times), plan.omp)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -63,10 +63,8 @@ class ObservationMatrix:
         if self.entries.ndim != 2 or self.entries.size == 0:
             raise ValueError(f"entries must be a nonempty 2-D array, got shape {self.entries.shape}")
         if self.m > self.n_grid:
-            warnings.warn(
-                f"M={self.m} exceeds N={self.n_grid}; expected the under-sampled regime M <= N",
-                stacklevel=2,
-            )
+            message = f"M={self.m} exceeds N={self.n_grid}; expected the under-sampled regime M <= N"
+            warnings.warn(message, stacklevel=3)  # past this method and the __init__ dataclass writes
 
     @property
     def m(self) -> int:

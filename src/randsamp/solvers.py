@@ -6,12 +6,11 @@ Two solvers, which :func:`solve` runs as one pipeline step:
   sensing matrix A = M0 Psi* of a real M0, stored real in halfcomplex order
   (Re a_0, Re a_1, Im a_1, Re a_2, Im a_2, ...). Greedily selects the
   frequency whose (normalized) column pair best correlates with the residual
-  and takes bins j and N-j. The residual is y with its projection onto the
-  selected columns removed, through an orthonormal basis grown one column at
-  a time by classical Gram-Schmidt applied twice; one real least-squares fit
-  on the final columns gives the coefficients. A column whose orthogonal
-  remainder is at most M * eps times its norm, or a rank-deficient final
-  fit, raises SingularSystemError.
+  and takes bins j and N-j. Classical Gram-Schmidt applied twice factors the
+  selected columns as Q R, one column at a time; the residual is y minus its
+  projection onto Q, and back substitution in R gives the coefficients. A
+  column whose orthogonal remainder is at most M * eps times the largest
+  column norm of A raises SingularSystemError.
 * :func:`tv_recover` -- gradient descent on a smoothed total-variation
   objective, for signals whose variation rather than spectrum is sparse:
   J(x) = 0.5 ||M0 x - y||^2 + lam * sum_n sqrt((x[n+1]-x[n])^2 + eps^2)
@@ -154,15 +153,16 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins j and N-j,
     or one bin for DC and Nyquist; (2) orthogonalize its columns Re a_j and
     Im a_j (Re a_j alone for DC and Nyquist) against those selected before,
-    by classical Gram-Schmidt applied twice; (3) project y onto the grown
-    orthonormal basis for the residual. Stops when the support reaches
-    cfg.max_atoms bins or the residual drops below cfg.residual_tol * ||y||,
-    then takes the coefficients from one least-squares fit of y over the
-    selected columns. A support that outgrows the M measurements raises
-    OverSelectionError. A column whose orthogonal remainder is at most
-    M * eps times its norm raises SingularSystemError at that iteration, as
-    does a final fit of less than full rank. The spectrum is Hermitian by
-    construction, and the time-domain output is its inverse real FFT.
+    by classical Gram-Schmidt applied twice, which extends a[:, S] = Q R over
+    the selected columns S; (3) project y onto Q for the residual. Stops when
+    the support reaches cfg.max_atoms bins or the residual drops below
+    cfg.residual_tol * ||y||; back substitution in R c = Q^T y then gives the
+    coefficients, whose residual is the last one tracked.
+    A support that outgrows the M measurements raises OverSelectionError. A
+    column whose orthogonal remainder is at most M * eps * max_j ||a[:, j]||,
+    the rounding floor of a, raises SingularSystemError at that iteration.
+    The spectrum is Hermitian by construction, and the time-domain output is
+    its inverse real FFT.
     """
     a = np.asarray(sensing)
     if np.iscomplexobj(a):
@@ -183,10 +183,11 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     slots[1 : n + 1] = sq_norms
     col_norms = np.sqrt(pairs.real + pairs.imag)
     col_norms = np.where(col_norms > 0.0, col_norms, 1.0)
-    singular_tol = m * np.finfo(float).eps
+    singular_tol = m * np.finfo(float).eps * math.sqrt(sq_norms.max())
     y_norm = float(np.linalg.norm(y))
     residual = y
     basis = np.empty((min(cfg.max_atoms + 1, m), m))  # orthonormal rows, one per column picked
+    r = np.zeros((len(basis), len(basis)))  # a[:, columns] = basis.T @ r, r upper triangular
     picked: list[int] = []  # frequencies
     support: list[int] = []  # their DFT bins
     columns: list[int] = []  # their columns of a, one per real unknown
@@ -203,23 +204,24 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
         if len(support) > m:
             raise OverSelectionError(f"support size {len(support)} exceeds the {m} measurements")
         for c in new:
-            q = basis[: len(columns)]
-            v = a[:, c] - (q @ a[:, c]) @ q
-            v -= (q @ v) @ q
-            remainder = math.sqrt(v @ v)
-            if remainder <= singular_tol * math.sqrt(sq_norms[c]):
+            k = len(columns)
+            q = basis[:k]
+            projection = q @ a[:, c]
+            v = a[:, c] - projection @ q
+            correction = q @ v
+            v -= correction @ q
+            r[:k, k] = projection + correction
+            r[k, k] = math.sqrt(v @ v)
+            if r[k, k] <= singular_tol:
                 raise SingularSystemError(support)
-            np.divide(v, remainder, out=basis[len(columns)])
+            np.divide(v, r[k, k], out=basis[k])
             columns.append(c)
         q = basis[: len(columns)]
         residual = y - (q @ y) @ q
         history.append(float(np.linalg.norm(residual)))
 
-    a_sub = a[:, columns]
-    coeffs, _, rank, _ = np.linalg.lstsq(a_sub, y, rcond=None)
-    if rank < len(columns):
-        raise SingularSystemError(support)
-    history[-1] = float(np.linalg.norm(y - a_sub @ coeffs))
+    k = len(columns)  # r is triangular, so solve's LU is back substitution
+    coeffs = np.linalg.solve(r[:k, :k], basis[:k] @ y)
 
     # y = sum_j 2 Re(a_j c_j) over the pairs plus a_j c_j at DC and Nyquist,
     # so c_j = (alpha_j - i beta_j) / 2 for the weights of Re a_j and Im a_j,

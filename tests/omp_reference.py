@@ -9,9 +9,9 @@ from randsamp.solvers import OverSelectionError, SingularSystemError
 
 
 def omp_reference(a, y, max_atoms: int, residual_tol: float):
-    """(support, iterations, recovered) of OMP on the real M x N sensing
-    matrix a, whose frequency j has the columns Re a_j and, unless j is DC or
-    even-N Nyquist, Im a_j at 2j - 1 and 2j (Re a_0 at 0)."""
+    """(support, iterations, recovered, ||residual||) of OMP on the real
+    M x N sensing matrix a, whose frequency j has the columns Re a_j and,
+    unless j is DC or even-N Nyquist, Im a_j at 2j - 1 and 2j (Re a_0 at 0)."""
     m, n = a.shape
     h = n // 2 + 1
     freq_columns = [list(range(max(2 * j - 1, 0), min(2 * j + 1, n))) for j in range(h)]
@@ -45,4 +45,4 @@ def omp_reference(a, y, max_atoms: int, residual_tol: float):
     for j in picked:
         re, *im = (weights[c] for c in freq_columns[j])
         half[j] = complex(re, -im[0]) / 2.0 if im else re
-    return support, len(picked), np.fft.irfft(half, n=n, norm="ortho")
+    return support, len(picked), np.fft.irfft(half, n=n, norm="ortho"), float(np.linalg.norm(residual))

@@ -209,8 +209,14 @@ class TestBuilders:
         assert np.array_equal(m0.entries, np.zeros((1, 8)))
 
     def test_more_samples_than_grid_warns(self):
-        with pytest.warns(UserWarning):
+        # the warning names the line that made the matrix, not the <string>
+        # __init__ that dataclass generates
+        with pytest.warns(UserWarning, match="M=10 exceeds N=4") as record:
             build_naive(np.linspace(0.0, 3.0, 10), 1.0, 4)
+        assert record[0].filename == build_naive.__code__.co_filename
+        with pytest.warns(UserWarning, match="M=5 exceeds N=4") as record:
+            ObservationMatrix(np.ones((5, 4)), "naive")
+        assert record[0].filename == __file__
 
 
 def sinc_sum(times, n, p_terms):

@@ -146,6 +146,16 @@ class TestOmp:
         assert len(support) == 3 and 0 in support
         assert {k for k in support if k} in ({1, 4}, {2, 3})
 
+    def test_column_below_the_matrix_rounding_floor_raises(self):
+        # Re a_1 and Im a_1 are orthogonal, of norms 1 and 1e-16: the second
+        # is new in direction but below M * eps times the largest column, so
+        # its weight would be rounding noise scaled by 1e16
+        a = np.zeros((4, 4))
+        a[0, 1], a[1, 2] = 1.0, 1e-16
+        with pytest.raises(SingularSystemError) as exc:
+            omp_recover(a, np.array([1.0, 1.0, 0.0, 0.0]), OmpConfig(max_atoms=2, residual_tol=0.0))
+        assert exc.value.support == [1, 3]
+
     def test_over_selection_raises(self):
         rng = np.random.default_rng(31)
         a = random_sensing(3, 8, rng)
@@ -179,16 +189,19 @@ class TestOmp:
 
 class TestOmpAgainstReference:
     """omp_recover against the per-iteration least-squares OMP of
-    tests/omp_reference.py: same support and iteration count, and the same
-    signal to 1e-12 relative (one final fit on the same columns gives it)."""
+    tests/omp_reference.py: same support and iteration count, the same signal
+    to 1e-12 relative, and a final residual within 1e-12 * ||y|| of the
+    reference's (back substitution in the Gram-Schmidt R solves the same
+    least-squares problem as the reference's last fit)."""
 
     @staticmethod
     def assert_same(a, y, cfg):
         res = omp_recover(a, y, cfg)
-        support, iterations, recovered = omp_reference(a, y, cfg.max_atoms, cfg.residual_tol)
+        support, iterations, recovered, residual = omp_reference(a, y, cfg.max_atoms, cfg.residual_tol)
         assert res.support == support
         assert res.iterations == iterations
         assert np.linalg.norm(res.recovered - recovered) <= 1e-12 * np.linalg.norm(recovered)
+        assert abs(res.final_residual - residual) <= 1e-12 * np.linalg.norm(y)
 
     @pytest.mark.parametrize("n", [128, 127])
     def test_random_problems_from_3_to_93_samples(self, n):

@@ -241,29 +241,25 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     )
 
 
-def _circular_diff(x, out=None) -> np.ndarray:
+def _circular_diff(x) -> np.ndarray:
     """D x with (D x)[n] = x[n+1] - x[n], n mod N, taken by slicing (no roll)."""
-    if out is None:
-        out = np.empty_like(x)
+    out = np.empty_like(x)
     np.subtract(x[1:], x[:-1], out=out[:-1])
     out[-1] = x[0] - x[-1]
     return out
 
 
-def _circular_diff_adjoint(w, out=None) -> np.ndarray:
+def _circular_diff_adjoint(w) -> np.ndarray:
     """D^T w with (D^T w)[n] = w[n-1] - w[n], n mod N."""
-    if out is None:
-        out = np.empty_like(w)
+    out = np.empty_like(w)
     np.subtract(w[:-1], w[1:], out=out[1:])
     out[0] = w[-1] - w[0]
     return out
 
 
-def _smoothed_magnitude(d, epsilon: float, out=None) -> np.ndarray:
+def _smoothed_magnitude(d, epsilon: float) -> np.ndarray:
     """sqrt(d^2 + epsilon^2), elementwise."""
-    out = np.multiply(d, d, out=out)
-    out += epsilon * epsilon
-    return np.sqrt(out, out=out)
+    return np.sqrt(d * d + epsilon * epsilon)
 
 
 def total_variation(x, epsilon: float) -> float:
@@ -293,6 +289,16 @@ def operator_norm_sq(entries) -> float:
     return float(v @ (a.T @ (a @ v)))
 
 
+def _aligned_copy(a) -> np.ndarray:
+    """A C-ordered copy of the array a whose data starts on a 64-byte cache
+    line, cut from an over-allocated byte buffer."""
+    raw = np.empty(a.nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    out = raw[start : start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult:
     """Gradient descent on the smoothed-TV objective.
 
@@ -300,74 +306,96 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     x_init (default M0^T y) and takes fixed steps, halving the step whenever a
     proposal would increase the objective; ten consecutive failed halvings
     raise NonConvergenceError. Stops at cfg.max_iters accepted steps or when
-    ||grad J|| <= cfg.grad_tol. A non-finite y raises ValueError.
+    ||grad J|| <= cfg.grad_tol. A non-finite y, M0 entry or x_init raises
+    ValueError.
 
-    Evaluating J at a candidate yields its residual r = M0 x - y, its
+    M0 is copied once into a 64-byte-aligned buffer, so the speed of its
+    BLAS products does not depend on where the heap placed the caller's
+    array. Evaluating J at a candidate yields its residual r = M0 x - y, its
     circular differences d = D x and s = sqrt(d^2 + eps^2); once the
     candidate is accepted these give the next gradient M0^T r + lam D^T (d/s)
-    without recomputation. An accepted step therefore costs one M0 product
-    (for J) and one M0^T product (for the gradient) plus O(N) in-place passes
-    into buffers allocated once per solve; each step halving adds one M0
-    product. The floating-point operations are those of evaluating J and its
-    gradient afresh at every iterate, so the iterates are those of that loop.
+    without recomputation. Two such state sets, their buffers and every
+    slice view a step reads or writes are made once per solve, so a step is
+    one M0 product (for J) and one M0^T product (for the gradient) plus O(N)
+    ufunc passes into those buffers; each step halving adds one M0 product.
+    The floating-point operations are those of evaluating J and its
+    gradient afresh at every iterate, in the same order, so the iterates are
+    those of that loop bit for bit.
     """
-    a = np.asarray(getattr(m0, "entries", m0), dtype=float)
+    a = _aligned_copy(np.asarray(getattr(m0, "entries", m0), dtype=float))
+    if not np.isfinite(a).all():
+        raise ValueError("m0 entries must be finite")
     y = _measurements(y, a.shape[0])
     m, n = a.shape
     x = a.T @ y if x_init is None else np.array(x_init, dtype=float)
     if len(x) != n:
         raise ValueError("x_init length does not match matrix columns")
+    if not np.isfinite(x).all():
+        raise ValueError("x_init must be finite")
 
     lam = cfg.lam if cfg.lam is not None else 1e-2 * float(np.linalg.norm(y))
-    step = cfg.step_size / operator_norm_sq(a)
-    eps = cfg.epsilon
+    # The ufuncs take the scalars as 0-d arrays, which they convert faster
+    # than Python floats, at the same values.
+    lam_0d = np.array(lam)
+    step = np.array(cfg.step_size / operator_norm_sq(a))
+    eps_sq = np.array(cfg.epsilon * cfg.epsilon)
+    a_t = a.T
 
-    def objective(r, s):
-        return 0.5 * float(r @ r) + lam * float(s.sum())
+    def new_state(x):
+        """An iterate x with buffers for r, d and s, and the views of x and
+        d that the circular difference reads and writes."""
+        d = np.empty(n)
+        return x, np.empty(m), d, np.empty(n), x[1:], x[:-1], d[:-1]
 
-    # State of the current iterate x; the candidate's goes into the *_c
-    # buffers and the two sets swap on acceptance.
-    r = np.subtract(a @ x, y)
-    d = _circular_diff(x)
-    s = _smoothed_magnitude(d, eps)
-    x_c, r_c, d_c, s_c = (np.empty_like(v) for v in (x, r, d, s))
+    def evaluate(state):
+        """Fill r, d and s from the state's x; return J there."""
+        x, r, d, s, x_next, x_prev, d_head = state
+        np.matmul(a, x, r)
+        np.subtract(r, y, r)
+        np.subtract(x_next, x_prev, d_head)
+        d[-1] = x[0] - x[-1]
+        np.multiply(d, d, s)
+        np.add(s, eps_sq, s)
+        np.sqrt(s, s)
+        return 0.5 * r.dot(r) + lam * np.add.reduce(s)
+
+    # The current iterate's set and the candidate's; they swap on acceptance.
+    current_state, candidate_state = new_state(x), new_state(np.empty(n))
     grad, w, tv_grad = np.empty(n), np.empty(n), np.empty(n)
+    w_prev, w_next, tv_grad_tail = w[:-1], w[1:], tv_grad[1:]
 
-    current = objective(r, s)
+    current = evaluate(current_state)
     history = [current]
-    iterations = 0
     for _ in range(cfg.max_iters):
-        np.matmul(a.T, r, out=grad)
-        _circular_diff_adjoint(np.divide(d, s, out=w), out=tv_grad)
-        tv_grad *= lam
-        grad += tv_grad
-        if math.sqrt(grad @ grad) <= cfg.grad_tol:
+        x, r, d, s = current_state[:4]
+        np.matmul(a_t, r, grad)
+        np.divide(d, s, w)
+        np.subtract(w_prev, w_next, tv_grad_tail)
+        tv_grad[0] = w[-1] - w[0]
+        np.multiply(tv_grad, lam_0d, tv_grad)
+        np.add(grad, tv_grad, grad)
+        if math.sqrt(grad.dot(grad)) <= cfg.grad_tol:
             break
+        x_c = candidate_state[0]
         halvings = 0
         while True:
-            np.multiply(grad, step, out=x_c)
-            np.subtract(x, x_c, out=x_c)
-            np.matmul(a, x_c, out=r_c)
-            r_c -= y
-            _smoothed_magnitude(_circular_diff(x_c, out=d_c), eps, out=s_c)
-            value = objective(r_c, s_c)
+            np.multiply(grad, step, x_c)
+            np.subtract(x, x_c, x_c)
+            value = evaluate(candidate_state)
             if value <= current:
                 break
             halvings += 1
             if halvings >= 10:
                 raise NonConvergenceError(len(history))
             step *= 0.5
-        x, x_c = x_c, x
-        r, r_c = r_c, r
-        d, d_c = d_c, d
-        s, s_c = s_c, s
+        current_state, candidate_state = candidate_state, current_state
         current = value
-        iterations += 1
         history.append(current)
 
+    x, r = current_state[:2]
     return RecoveryResult(
         recovered=x,
-        iterations=iterations,
+        iterations=len(history) - 1,
         final_residual=float(np.linalg.norm(r)),
         objective_history=np.asarray(history),
     )

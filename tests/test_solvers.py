@@ -328,6 +328,18 @@ class TestTvRecover:
             tv_recover(a, y, TvConfig(step_size=1e12, max_iters=100))
         assert exc.value.history_length >= 1
 
+    @pytest.mark.parametrize("argument", ["m0", "x_init"])
+    def test_non_finite_input_rejected(self, argument):
+        # Unchecked, either runs the descent into its divergence error.
+        m0, y = random_tv_problem(8, 20, 12)
+        a, x_init = m0.entries.copy(), np.zeros(20)
+        if argument == "m0":
+            a[3, 5] = math.inf
+        else:
+            x_init[7] = math.nan
+        with pytest.raises(ValueError, match=f"{argument}.* must be finite"):
+            tv_recover(a, y, TvConfig(max_iters=10), x_init=x_init)
+
     def test_argument_validation(self):
         a = np.zeros((3, 8))
         with pytest.raises(ValueError):
@@ -395,6 +407,16 @@ def random_tv_problem(m, n, seed):
     return m0, y
 
 
+def placed_at(a, offset):
+    """A copy of a whose entries start offset bytes past a 64-byte boundary
+    inside a larger buffer."""
+    raw = np.empty(a.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start : start + a.nbytes].view(float).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 class TestTvRecoverOracle:
     @pytest.mark.parametrize(
         "m, n, seed, cfg, x_init, must_halve",
@@ -404,18 +426,23 @@ class TestTvRecoverOracle:
             (16, 48, 42, TvConfig(step_size=40.0, lam=0.1, epsilon=1e-2, max_iters=300), None, True),
             (16, 47, 43, TvConfig(step_size=25.0, lam=None, max_iters=300), "zeros", True),
             (9, 24, 44, TvConfig(step_size=1e-2, lam=0.05, max_iters=200), "zeros", False),
+            # the square preset's size and step settings
+            (80, 240, 50, TvConfig(step_size=1.0, lam=None, epsilon=1e-3, max_iters=3000), None, True),
         ],
     )
     def test_matches_plain_gradient_descent(self, m, n, seed, cfg, x_init, must_halve):
+        # The same floating-point operations in the same order give the same
+        # bits, wherever the caller's M0 sits relative to a cache line.
         m0, y = random_tv_problem(m, n, seed)
         start = np.zeros(n) if x_init == "zeros" else None
-        x_ref, iters_ref, hist_ref, halvings = plain_tv_descent(m0.entries, y, cfg, start)
-        assert halvings > 0 or not must_halve
-        res = tv_recover(m0, y, cfg, x_init=start)
-        assert res.iterations == iters_ref
-        assert len(res.objective_history) == len(hist_ref)
-        assert np.linalg.norm(res.recovered - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-        assert np.all(np.abs(res.objective_history - hist_ref) <= 1e-12 * np.abs(hist_ref))
+        for offset in (0, 8, 16, 32, 48):
+            a = placed_at(m0.entries, offset)
+            x_ref, iters_ref, hist_ref, halvings = plain_tv_descent(a, y, cfg, start)
+            assert halvings > 0 or not must_halve
+            res = tv_recover(a, y, cfg, x_init=start)
+            assert res.iterations == iters_ref
+            assert np.array_equal(res.recovered, x_ref)
+            assert np.array_equal(res.objective_history, hist_ref)
 
     def test_divergence_raises_at_the_same_point(self):
         m0, y = random_tv_problem(8, 20, 45)

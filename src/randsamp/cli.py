@@ -226,8 +226,8 @@ def _cmd_recover(args) -> int:
 def _solver_fields(args) -> tuple[dict, dict]:
     """The OmpConfig and TvConfig fields set by the solver flags given."""
     omp = _given(max_atoms=args.max_atoms, residual_tol=args.residual_tol)
-    tv = _given(step_size=args.tv_step, lam=args.tv_lambda, epsilon=args.tv_epsilon,
-                max_iters=args.tv_iters, grad_tol=getattr(args, "tv_grad_tol", None))
+    tv = _given(lam=args.tv_lambda, epsilon=args.tv_epsilon, max_iters=args.tv_iters,
+                grad_tol=getattr(args, "tv_grad_tol", None))
     return omp, tv
 
 
@@ -285,7 +285,6 @@ def _cmd_sweep_p(args) -> int:
 def _add_solver_flags(parser) -> None:
     parser.add_argument("--max-atoms", type=int, help="OMP support budget")
     parser.add_argument("--residual-tol", type=float, help="OMP relative residual stop")
-    parser.add_argument("--tv-step", type=float, help="TV step factor (scaled by 1/||M0||^2)")
     parser.add_argument("--tv-lambda", type=float, help="TV regularization weight")
     parser.add_argument("--tv-epsilon", type=float, help="TV smoothing epsilon")
     parser.add_argument("--tv-iters", type=int, help="TV iteration cap")

@@ -14,9 +14,10 @@ Two solvers, which :func:`solve` runs as one pipeline step:
 * :func:`tv_recover` -- gradient descent on a smoothed total-variation
   objective, for signals whose variation rather than spectrum is sparse:
   J(x) = 0.5 ||M0 x - y||^2 + lam * sum_n sqrt((x[n+1]-x[n])^2 + eps^2)
-  with circular differences. The residual and differences computed to
-  evaluate J at an accepted step are reused for the next gradient, so a step
-  costs one M0 and one M0^T product plus O(N) in-place passes.
+  with circular differences, at the fixed step TV_STEP_ALPHA / L for L the
+  Lipschitz bound of grad J. The residual and differences computed to
+  evaluate J at an iterate also give its gradient, so a step costs one M0
+  and one M0^T product plus O(N) in-place passes.
 
 Both are single-threaded and deterministic for fixed inputs.
 """
@@ -49,13 +50,8 @@ class OverSelectionError(RecoveryError, ValueError):
 
 
 class NonConvergenceError(RecoveryError, RuntimeError):
-    """The objective kept increasing through repeated step halvings."""
-
-    def __init__(self, history_length: int):
-        self.history_length = history_length
-        super().__init__(
-            f"objective still increasing after 10 step halvings ({history_length} accepted iterates)"
-        )
+    """A descent that failed to converge. No randsamp solver raises it since
+    the TV descent took a fixed step; it stays for code that catches it."""
 
 
 @dataclass(frozen=True)
@@ -89,24 +85,30 @@ def fit_budget(omp: OmpConfig, m: int, n: int) -> OmpConfig:
     return omp if cap == omp.max_atoms else replace(omp, max_atoms=cap)
 
 
+# tv_recover steps by TV_STEP_ALPHA / L, L the Lipschitz bound of grad J;
+# any factor below 2 makes every step lower J in exact arithmetic (the
+# descent lemma), and one near 2 takes the fewest steps to a given J.
+TV_STEP_ALPHA = 1.99
+
+
 @dataclass(frozen=True)
 class TvConfig:
-    """Gradient-descent settings for the smoothed total-variation objective.
+    """Settings of the smoothed total-variation descent.
 
-    step_size is dimensionless: the actual step is step_size / ||M0||_2^2,
-    with the operator norm estimated by 20 power iterations. lam = None uses
-    the data-scaled default 1e-2 * ||y||_2.
+    The step is not a setting: :func:`tv_recover` works it out from M0, lam
+    and epsilon. lam = None uses the data-scaled default 1e-2 * ||y||_2. The
+    descent stops after max_iters steps, or earlier once
+    ||grad J|| <= grad_tol.
     """
 
-    step_size: float = 1e-2
     lam: float | None = None
     epsilon: float = 1e-3
     max_iters: int = 10_000
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.step_size, self.epsilon, self.grad_tol)):
-            raise ValueError("step_size, epsilon and grad_tol must be positive and finite")
+        if not all(0.0 < v < math.inf for v in (self.epsilon, self.grad_tol)):
+            raise ValueError("epsilon and grad_tol must be positive and finite")
         if self.lam is not None and not 0.0 < self.lam < math.inf:
             raise ValueError("lam must be positive and finite (or None for the data-scaled default)")
         if self.max_iters < 1:
@@ -120,8 +122,8 @@ class RecoveryResult:
     recovered: real time-domain signal on the uniform grid.
     spectrum/support: selected DFT coefficients and bins (OMP only).
     residual_history: ||residual|| before the first and after each OMP
-        iteration; objective_history: J at the start and after each accepted
-        TV step.
+        iteration; objective_history: J at the start and after each TV
+        step.
     """
 
     recovered: np.ndarray
@@ -275,20 +277,6 @@ def tv_gradient(x, epsilon: float) -> np.ndarray:
     return _circular_diff_adjoint(d / _smoothed_magnitude(d, epsilon))
 
 
-def operator_norm_sq(entries) -> float:
-    """Power-iteration estimate of ||A||_2^2 in 20 steps, started from the
-    all-ones vector so the estimate is deterministic."""
-    a = np.asarray(entries, dtype=float)
-    v = np.ones(a.shape[1]) / np.sqrt(a.shape[1])
-    for _ in range(20):
-        w = a.T @ (a @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 1.0
-        v = w / norm_w
-    return float(v @ (a.T @ (a @ v)))
-
-
 def _aligned_copy(a) -> np.ndarray:
     """A C-ordered copy of the array a whose data starts on a 64-byte cache
     line, cut from an over-allocated byte buffer."""
@@ -300,27 +288,27 @@ def _aligned_copy(a) -> np.ndarray:
 
 
 def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult:
-    """Gradient descent on the smoothed-TV objective.
+    """Gradient descent on the smoothed-TV objective at a fixed step.
 
     m0 may be an ObservationMatrix or a bare M x N array. Starts from
-    x_init (default M0^T y) and takes fixed steps, halving the step whenever a
-    proposal would increase the objective; ten consecutive failed halvings
-    raise NonConvergenceError. Stops at cfg.max_iters accepted steps or when
-    ||grad J|| <= cfg.grad_tol. A non-finite y, M0 entry or x_init raises
-    ValueError.
+    x_init (default M0^T y) and steps x <- x - (TV_STEP_ALPHA / L) grad J,
+    with L = ||M0||_2^2 + 4 lam / epsilon the Lipschitz bound of grad J
+    (||D||_2^2 <= 4 for the circular difference D, and the smoothed
+    magnitude's curvature is at most 1 / epsilon). Stops after cfg.max_iters
+    steps or when ||grad J|| <= cfg.grad_tol. The history holds J at the
+    start and after each step, so its last entry is J at the returned x. A
+    non-finite y, M0 entry or x_init raises ValueError.
 
     M0 is copied once into a 64-byte-aligned buffer, so the speed of its
     BLAS products does not depend on where the heap placed the caller's
-    array. Evaluating J at a candidate yields its residual r = M0 x - y, its
-    circular differences d = D x and s = sqrt(d^2 + eps^2); once the
-    candidate is accepted these give the next gradient M0^T r + lam D^T (d/s)
-    without recomputation. Two such state sets, their buffers and every
-    slice view a step reads or writes are made once per solve, so a step is
-    one M0 product (for J) and one M0^T product (for the gradient) plus O(N)
-    ufunc passes into those buffers; each step halving adds one M0 product.
-    The floating-point operations are those of evaluating J and its
-    gradient afresh at every iterate, in the same order, so the iterates are
-    those of that loop bit for bit.
+    array. Evaluating J at an iterate yields its residual r = M0 x - y, its
+    circular differences d = D x and s = sqrt(d^2 + eps^2), which give the
+    gradient M0^T r + lam D^T (d/s) without recomputation. These buffers and
+    every slice view a step reads or writes are made once per solve, so a
+    step is one M0 product (for J) and one M0^T product (for the gradient)
+    plus O(N) ufunc passes into them. The floating-point operations are
+    those of evaluating J and its gradient afresh at every iterate, in the
+    same order, so the iterates are those of that loop bit for bit.
     """
     a = _aligned_copy(np.asarray(getattr(m0, "entries", m0), dtype=float))
     if not np.isfinite(a).all():
@@ -334,22 +322,22 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
         raise ValueError("x_init must be finite")
 
     lam = cfg.lam if cfg.lam is not None else 1e-2 * float(np.linalg.norm(y))
+    lipschitz = float(np.linalg.norm(a, 2)) ** 2 + 4.0 * lam / cfg.epsilon
     # The ufuncs take the scalars as 0-d arrays, which they convert faster
-    # than Python floats, at the same values.
+    # than Python floats, at the same values. L = 0 only for M0 = 0 and
+    # lam = 0, where grad J = 0 stops the descent before its first step.
     lam_0d = np.array(lam)
-    step = np.array(cfg.step_size / operator_norm_sq(a))
+    step = np.array(TV_STEP_ALPHA / lipschitz if lipschitz > 0.0 else 0.0)
     eps_sq = np.array(cfg.epsilon * cfg.epsilon)
     a_t = a.T
 
-    def new_state(x):
-        """An iterate x with buffers for r, d and s, and the views of x and
-        d that the circular difference reads and writes."""
-        d = np.empty(n)
-        return x, np.empty(m), d, np.empty(n), x[1:], x[:-1], d[:-1]
+    r, d, s = np.empty(m), np.empty(n), np.empty(n)
+    grad, w, tv_grad = np.empty(n), np.empty(n), np.empty(n)
+    x_next, x_prev, d_head = x[1:], x[:-1], d[:-1]
+    w_prev, w_next, tv_grad_tail = w[:-1], w[1:], tv_grad[1:]
 
-    def evaluate(state):
-        """Fill r, d and s from the state's x; return J there."""
-        x, r, d, s, x_next, x_prev, d_head = state
+    history = []
+    while True:
         np.matmul(a, x, r)
         np.subtract(r, y, r)
         np.subtract(x_next, x_prev, d_head)
@@ -357,17 +345,9 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
         np.multiply(d, d, s)
         np.add(s, eps_sq, s)
         np.sqrt(s, s)
-        return 0.5 * r.dot(r) + lam * np.add.reduce(s)
-
-    # The current iterate's set and the candidate's; they swap on acceptance.
-    current_state, candidate_state = new_state(x), new_state(np.empty(n))
-    grad, w, tv_grad = np.empty(n), np.empty(n), np.empty(n)
-    w_prev, w_next, tv_grad_tail = w[:-1], w[1:], tv_grad[1:]
-
-    current = evaluate(current_state)
-    history = [current]
-    for _ in range(cfg.max_iters):
-        x, r, d, s = current_state[:4]
+        history.append(0.5 * r.dot(r) + lam * np.add.reduce(s))
+        if len(history) > cfg.max_iters:
+            break
         np.matmul(a_t, r, grad)
         np.divide(d, s, w)
         np.subtract(w_prev, w_next, tv_grad_tail)
@@ -376,23 +356,9 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
         np.add(grad, tv_grad, grad)
         if math.sqrt(grad.dot(grad)) <= cfg.grad_tol:
             break
-        x_c = candidate_state[0]
-        halvings = 0
-        while True:
-            np.multiply(grad, step, x_c)
-            np.subtract(x, x_c, x_c)
-            value = evaluate(candidate_state)
-            if value <= current:
-                break
-            halvings += 1
-            if halvings >= 10:
-                raise NonConvergenceError(len(history))
-            step *= 0.5
-        current_state, candidate_state = candidate_state, current_state
-        current = value
-        history.append(current)
+        np.multiply(grad, step, grad)
+        np.subtract(x, grad, x)
 
-    x, r = current_state[:2]
     return RecoveryResult(
         recovered=x,
         iterations=len(history) - 1,

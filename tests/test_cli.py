@@ -71,10 +71,11 @@ class TestExperimentCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_all_runs_failed_exits_2(self, run_cli, tmp_path):
+        # 16 bins with no residual stop outgrow the 8 measurements, so the
+        # OMP warm start of the square run fails.
         proc = run_cli(
             "experiment", "--preset", "square", "--runs", "1",
-            "--m", "8", "--n", "16", "--rate", "16",
-            "--tv-step", "1e12", "--tv-iters", "20",
+            "--m", "8", "--max-atoms", "16", "--residual-tol", "0",
             "--out", tmp_path / "fail.csv",
         )
         assert proc.returncode == 2
@@ -96,8 +97,7 @@ class TestExperimentCommand:
     def test_all_failed_json_with_timings_is_valid(self, run_cli):
         proc = run_cli(
             "experiment", "--preset", "square", "--runs", "2",
-            "--m", "8", "--n", "16", "--rate", "16",
-            "--tv-step", "1e12", "--tv-iters", "50", "--format", "json", "--timings",
+            "--m", "8", "--max-atoms", "16", "--residual-tol", "0", "--format", "json", "--timings",
         )
         assert proc.returncode == 2
 
@@ -324,7 +324,7 @@ class TestPipeline:
                         "--residual-tol", repr(plan.omp.residual_tol)]
         if plan.solver == "tv":
             assert plan.tv.lam is None  # the data-scaled default, which no flag sets
-            solver_flags += ["--tv-step", repr(plan.tv.step_size), "--tv-iters", plan.tv.max_iters,
+            solver_flags += ["--tv-iters", plan.tv.max_iters,
                              "--tv-epsilon", repr(plan.tv.epsilon), "--tv-grad-tol", repr(plan.tv.grad_tol)]
         assert run_cli("generate", "--signal", preset, "--n", plan.n_grid, "--interval", repr(plan.interval),
                        "--out", "grid.csv").returncode == 0
@@ -354,7 +354,7 @@ class TestPipeline:
         ).returncode == 0
         proc = run_cli(
             "recover", "--matrix", matrix, "--measurements", samples,
-            "--solver", "tv", "--tv-step", "1.0", "--tv-iters", "200",
+            "--solver", "tv", "--tv-iters", "200",
             "--format", "json", "--out", out,
         )
         assert proc.returncode == 0, proc.stderr
@@ -513,13 +513,11 @@ class TestNumericFlags:
              "t0 and t0 + duration must be finite"),
             (["experiment", "--preset", "trig", "--runs", "1", "--residual-tol", "nan"],
              "residual_tol must be nonnegative and finite"),
-            (["experiment", "--preset", "square", "--runs", "1", "--tv-step", "inf"],
-             "step_size, epsilon and grad_tol must be positive and finite"),
         ],
         ids=["generate-rate-zero", "generate-rate-nan", "gauspuls-rate-nan", "interval-nan",
              "fc-nan", "bwr-nan", "tpr-nan", "period-nan", "amplitude-nan", "build-interval-nan",
              "build-interval-inf", "build-out-checked-first", "duration-nan", "duration-inf",
-             "sample-t0-nan", "residual-tol-nan", "tv-step-inf"],
+             "sample-t0-nan", "residual-tol-nan"],
     )
     def test_rejected_with_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
         from randsamp.cli import main

@@ -52,6 +52,9 @@ CASES = {
     "experiment_gauspuls": ["experiment --preset gauspuls --runs 3 --seed 7"],
     "experiment_gauspuls_odd_n": ["experiment --preset gauspuls --rate 9.99e6 --runs 3 --seed 7"],
     "experiment_square_tv": ["experiment --preset square --runs 2 --seed 7"],
+    # A second square seed: CI also runs these cases under another CPU
+    # kernel, across which the TV outputs must agree on more than one seed.
+    "experiment_square_tv_seed11": ["experiment --preset square --runs 3 --seed 11"],
     "experiment_square_omp": ["experiment --preset square --solver omp --runs 2 --seed 7"],
     "experiment_json_out": ["experiment --preset trig --runs 2 --seed 5 --format json --out report.json"],
     "experiment_all_failed": ["experiment --preset trig --runs 2 --seed 7 --m 8 --max-atoms 16 --residual-tol 0"],
@@ -90,7 +93,7 @@ CASES = {
     "recover_square": [
         *_README_SQUARE,
         "recover --matrix square_m0.csv --measurements square_samples.csv --solver tv --max-atoms 24 "
-        "--residual-tol 1e-6 --tv-step 1 --tv-iters 5000 --out square_rec.csv",
+        "--residual-tol 1e-6 --tv-iters 6000 --out square_rec.csv",
     ],
     "recover_over_selection": [
         "sample --signal trig --m 8 --duration 0.32 --seed 11 --out s.csv",

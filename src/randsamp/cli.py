@@ -226,8 +226,7 @@ def _cmd_recover(args) -> int:
 def _solver_fields(args) -> tuple[dict, dict]:
     """The OmpConfig and TvConfig fields set by the solver flags given."""
     omp = _given(max_atoms=args.max_atoms, residual_tol=args.residual_tol)
-    tv = _given(lam=args.tv_lambda, epsilon=args.tv_epsilon, max_iters=args.tv_iters,
-                grad_tol=getattr(args, "tv_grad_tol", None))
+    tv = _given(lam=args.tv_lambda, max_iters=args.tv_iters)
     return omp, tv
 
 
@@ -286,7 +285,6 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--max-atoms", type=int, help="OMP support budget")
     parser.add_argument("--residual-tol", type=float, help="OMP relative residual stop")
     parser.add_argument("--tv-lambda", type=float, help="TV regularization weight")
-    parser.add_argument("--tv-epsilon", type=float, help="TV smoothing epsilon")
     parser.add_argument("--tv-iters", type=int, help="TV iteration cap")
 
 
@@ -366,7 +364,6 @@ def build_parser() -> _Parser:
     p.add_argument("--measurements", required=True, help="CSV with a 'value' column (e.g. from sample)")
     p.add_argument("--solver", choices=solvers.SOLVERS, default="omp")
     _add_solver_flags(p)
-    p.add_argument("--tv-grad-tol", type=float, help="TV stop once the gradient norm is at most this")
     _add_common_out(p)
     p.set_defaults(func=_cmd_recover)
 
@@ -380,7 +377,6 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", choices=obs_matrix.METHODS)
     p.add_argument("--p-terms", type=int, help="truncation length for --matrix truncated")
     _add_experiment_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="ignored, kept for compatibility: runs are serial")
     _add_common_out(p)
     p.set_defaults(func=_cmd_experiment)
 

@@ -110,19 +110,9 @@ class ExperimentConfig:
 
 # Solver settings used by the presets. The trig preset takes OmpConfig's
 # defaults, whose 16 bins cover the signal's 7 occupied bins with margin; the
-# gauspuls budget keeps the dominant spectral lobe of the pulse.
+# gauspuls budget keeps the dominant spectral lobe of the pulse. Every preset
+# takes TvConfig's defaults, whose step budget was chosen on the square preset.
 GAUSPULS_OMP = OmpConfig(max_atoms=24, residual_tol=1e-4)
-# The square preset's TV step cap is an early-stopping regularizer, not a
-# convergence budget: the descent never meets grad_tol, and its error first
-# falls and then rises with the step count (semi-convergence; Engl, Hanke &
-# Neubauer 1996). 6 000 steps was chosen over master seeds 7, 11 and 13
-# (runs 0-39 each), caps 4 000 to 20 000: its mean error and mean interior
-# error are below those at 20 000 on every seed, and its worst interior
-# error is within 0.2 % of that of the earlier 5 000-step descent, whose
-# step halved whenever J rose. 5 800 meets both too, but leaves seed 11's
-# interior mean over runs 0-5 only 1 % under the 20 000-step one (6 000:
-# 5 %); 5 000 raised seed 11's worst interior error from 0.022 to 0.050.
-SQUARE_TV = TvConfig(max_iters=6_000)
 # OMP budget of the square preset's warm start (see solvers.solve).
 SQUARE_INIT_OMP = OmpConfig(max_atoms=24, residual_tol=1e-6)
 
@@ -163,7 +153,6 @@ def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
         n = _given_or(cfg.n_grid, 256)
         solver = cfg.solver or "omp"
         omp = cfg.omp or fit_budget(OmpConfig(), m, n)
-        tv = cfg.tv or TvConfig()
     elif cfg.preset == "gauspuls":
         signal = GaussPulseSignal()
         rate = _given_or(cfg.sample_rate, 10e6)
@@ -173,7 +162,6 @@ def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
         n = signal.grid_points(rate) if cfg.n_grid is None else cfg.n_grid
         solver = cfg.solver or "omp"
         omp = cfg.omp or fit_budget(GAUSPULS_OMP, m, n)
-        tv = cfg.tv or TvConfig()
     else:  # square
         rate = _given_or(cfg.sample_rate, 240.0)
         m = _given_or(cfg.m_samples, 80)
@@ -182,7 +170,7 @@ def resolve_plan(cfg: ExperimentConfig) -> ResolvedPlan:
         signal = SquareSignal(period=n / (2.0 * rate), duty=0.5, amplitude=1.0)
         solver = cfg.solver or "tv"
         omp = cfg.omp or fit_budget(SQUARE_INIT_OMP, m, n)
-        tv = cfg.tv or SQUARE_TV
+    tv = cfg.tv or TvConfig()
     interval = 1.0 / rate
     return ResolvedPlan(signal, m, n, interval, grid_origin(signal), n * interval, solver, omp, tv)
 

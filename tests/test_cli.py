@@ -63,13 +63,6 @@ class TestExperimentCommand:
         assert run_cli(*argv, b).returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_do_not_change_output(self, run_cli, tmp_path):
-        base = ("experiment", "--preset", "trig", "--runs", "4", "--seed", "5")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli(*base, "--jobs", "1", "--out", a).returncode == 0
-        assert run_cli(*base, "--jobs", "4", "--out", b).returncode == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_all_runs_failed_exits_2(self, run_cli, tmp_path):
         # 16 bins with no residual stop outgrow the 8 measurements, so the
         # OMP warm start of the square run fails.
@@ -324,8 +317,7 @@ class TestPipeline:
                         "--residual-tol", repr(plan.omp.residual_tol)]
         if plan.solver == "tv":
             assert plan.tv.lam is None  # the data-scaled default, which no flag sets
-            solver_flags += ["--tv-iters", plan.tv.max_iters,
-                             "--tv-epsilon", repr(plan.tv.epsilon), "--tv-grad-tol", repr(plan.tv.grad_tol)]
+            solver_flags += ["--tv-iters", plan.tv.max_iters]
         assert run_cli("generate", "--signal", preset, "--n", plan.n_grid, "--interval", repr(plan.interval),
                        "--out", "grid.csv").returncode == 0
         assert run_cli("sample", "--signal", preset, "--m", plan.m_samples, "--duration", repr(plan.duration),
@@ -362,12 +354,54 @@ class TestPipeline:
         assert len(doc["values"]) == 240
         assert doc["iterations"] > 0
 
+    def test_recover_tv_default_budget_is_the_square_presets(self, run_cli, tmp_path):
+        # README's square pipeline without --tv-iters: the default budget is
+        # the square preset's 6 000 steps, so the error is run 0's of
+        # `experiment --preset square --seed 7`.
+        for argv in (
+            ("generate", "--signal", "square", "--n", "240", "--rate", "240", "--out", "grid.csv"),
+            ("sample", "--signal", "square", "--m", "80", "--duration", "1", "--seed", "7191089600892374487",
+             "--out", "s.csv"),
+            ("build-matrix", "--times", "s.csv", "--interval", "0.004166666666666667", "--n", "240",
+             "--out", "m0.csv"),
+        ):
+            assert run_cli(*argv).returncode == 0
+        proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "s.csv", "--solver", "tv",
+                       "--max-atoms", "24", "--residual-tol", "1e-6", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["iterations"] == 6000
+        grid = np.array([float(v) for v in read_csv_column(tmp_path / "grid.csv", "value")])
+        error = np.linalg.norm(np.array(doc["values"]) - grid) / np.linalg.norm(grid)
+        assert abs(error - 0.2162981517425841) <= 1e-9 * 0.2162981517425841, error
+
 
 class TestUsage:
     def test_unknown_flag_exits_1(self, run_cli):
         proc = run_cli("experiment", "--preset", "trig", "--bogus")
         assert proc.returncode == 1
         assert "usage" in proc.stderr.lower()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recover", "--matrix", "m.csv", "--measurements", "s.csv", "--tv-epsilon", "1e-2"],
+            ["recover", "--matrix", "m.csv", "--measurements", "s.csv", "--tv-grad-tol", "1e-6"],
+            ["experiment", "--preset", "square", "--tv-epsilon", "1e-2"],
+            ["sweep-p", "--tv-epsilon", "1e-2"],
+            ["experiment", "--preset", "trig", "--jobs", "2"],
+        ],
+        ids=["recover-tv-epsilon", "recover-tv-grad-tol", "experiment-tv-epsilon", "sweep-p-tv-epsilon",
+             "experiment-jobs"],
+    )
+    def test_removed_flag_exits_1(self, monkeypatch, capsys, tmp_path, argv):
+        # TvConfig.epsilon and .grad_tol are constants, and runs are serial,
+        # so these flags are gone and argparse rejects them.
+        from randsamp.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_missing_required_flag_exits_1(self, run_cli):
         proc = run_cli("sample", "--signal", "trig")
@@ -708,10 +742,10 @@ class TestExperimentConfig:
     def test_tv_flag_keeps_other_preset_fields(self):
         from dataclasses import replace
 
-        from randsamp.experiments import SQUARE_TV
+        from randsamp.solvers import TvConfig
 
         cfg = self.config("--preset", "square", "--tv-lambda", "0.5", "--tv-iters", "30")
-        assert cfg.tv == replace(SQUARE_TV, lam=0.5, max_iters=30)
+        assert cfg.tv == replace(TvConfig(), lam=0.5, max_iters=30)
         assert cfg.omp is None
 
     def test_omp_flags_keep_other_preset_fields(self):

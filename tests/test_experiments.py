@@ -25,7 +25,7 @@ from randsamp.experiments import (
 from randsamp.fourier import sensing_matrix
 from randsamp.obs_matrix import build_poisson
 from randsamp.signals import grid_origin
-from randsamp.solvers import OmpConfig, OverSelectionError, RecoveryError, omp_recover
+from randsamp.solvers import OmpConfig, OverSelectionError, RecoveryError, TvConfig, omp_recover
 
 
 class TestRelativeError:
@@ -257,8 +257,8 @@ def test_square_tv_budget_stops_before_the_error_rises():
     # The comparison holds for the mean, not run by run: runs 0 and 2 read a
     # higher interior error at the budget, yet the interior mean is 1.6 %
     # lower over runs 0-3 and 5 % lower over runs 0-5.
-    assert experiments.SQUARE_TV.max_iters < 20_000
-    long_tv = replace(experiments.SQUARE_TV, max_iters=20_000)
+    assert TvConfig().max_iters < 20_000
+    long_tv = replace(TvConfig(), max_iters=20_000)
     means = {}
     for label, tv in (("budget", None), ("20000", long_tv)):
         outcomes = [reconstruct_once(ExperimentConfig(preset="square", runs=6, master_seed=11, tv=tv), i)
@@ -271,7 +271,7 @@ def test_square_tv_budget_stops_before_the_error_rises():
 def test_tv_on_the_pulse_starts_from_omp():
     # Every TV solve starts from the OMP reconstruction. Started from M0^T y,
     # as it was for every preset but square, runs 0-1 of seed 7 read a mean
-    # error of 0.73; from OMP they read 0.040.
+    # error of 0.73; from OMP, with the default 6 000 steps, they read 0.048.
     report = run_experiment(ExperimentConfig(preset="gauspuls", solver="tv", runs=2, master_seed=7))
     assert report.n_failed == 0
     assert report.mean_error < 0.1

@@ -12,8 +12,11 @@ which absorbs the last-bit differences between CPU kernels of one BLAS build
 Left out: --help and argparse's own errors, whose text depends on the Python
 version and the terminal width.
 
-`python tests/test_golden.py` (with randsamp importable) rewrites every
-golden file; review the diff before committing it.
+`python tests/test_golden.py` (with randsamp importable) rewrites the golden
+file of each case that has none, whose file records other commands, or whose
+output no longer matches it, and prints their names; a matching file keeps
+its bytes, so a host with another CPU kernel rewrites no unrelated case.
+Review the diff before committing it.
 """
 
 import contextlib
@@ -208,5 +211,10 @@ def test_mismatch(expected, actual, matches):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
+        path = GOLDEN / f"{case}.txt"
+        expected = path.read_text(encoding="utf-8") if path.exists() else ""
         with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN / f"{case}.txt").write_text(run_case(case, Path(tmp)), encoding="utf-8")
+            actual = run_case(case, Path(tmp))
+        if not expected.startswith(_header(case)) or mismatch(expected, actual) is not None:
+            path.write_text(actual, encoding="utf-8")
+            print(f"rewrote {path.name}")

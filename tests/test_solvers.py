@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -247,15 +248,24 @@ def test_non_finite_measurement_rejected(solver, bad):
     "make",
     [
         lambda: OmpConfig(residual_tol=math.nan),
-        lambda: TvConfig(epsilon=math.inf),
-        lambda: TvConfig(grad_tol=math.nan),
         lambda: TvConfig(lam=math.nan),
     ],
-    ids=["residual-tol-nan", "epsilon-inf", "grad-tol-nan", "lam-nan"],
+    ids=["residual-tol-nan", "lam-nan"],
 )
 def test_non_finite_solver_setting_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+def test_tv_constants_are_not_settings():
+    # The smoothing and the gradient-norm stop are class constants, which the
+    # descent reads and no TvConfig takes as a field.
+    assert [f.name for f in dataclasses.fields(TvConfig)] == ["lam", "max_iters"]
+    assert (TvConfig.epsilon, TvConfig.grad_tol, TvConfig().max_iters) == (1e-3, 1e-8, 6000)
+    with pytest.raises(TypeError):
+        TvConfig(epsilon=1e-2)
+    with pytest.raises(TypeError):
+        TvConfig(grad_tol=1e-6)
 
 
 class TestTvPieces:
@@ -416,13 +426,13 @@ class TestTvRecoverOracle:
     @pytest.mark.parametrize(
         "m, n, seed, cfg, x_init, wrapped",
         [
-            (12, 32, 40, TvConfig(lam=0.3, epsilon=1e-2, max_iters=400), None, False),
+            (12, 32, 40, TvConfig(lam=0.3, max_iters=400), None, False),
             (7, 17, 41, TvConfig(lam=None, max_iters=400), None, False),
-            (16, 48, 42, TvConfig(lam=0.1, epsilon=1e-2, max_iters=300), None, True),
+            (16, 48, 42, TvConfig(lam=0.1, max_iters=300), None, True),
             (16, 47, 43, TvConfig(lam=None, max_iters=300), "zeros", True),
             (9, 24, 44, TvConfig(lam=0.05, max_iters=200), "zeros", False),
             # the square preset's size and settings
-            (80, 240, 50, TvConfig(lam=None, epsilon=1e-3, max_iters=3000), None, True),
+            (80, 240, 50, TvConfig(lam=None, max_iters=3000), None, True),
         ],
     )
     def test_matches_plain_gradient_descent(self, m, n, seed, cfg, x_init, wrapped):
@@ -452,7 +462,7 @@ class TestTvRecoverState:
 
     def test_history_ends_are_the_public_objective(self):
         m0, y = random_tv_problem(14, 36, 47)
-        cfg = TvConfig(lam=0.2, epsilon=1e-2, max_iters=150)
+        cfg = TvConfig(lam=0.2, max_iters=150)
         x_init = np.random.default_rng(48).standard_normal(36)
         res = tv_recover(m0, y, cfg, x_init=x_init)
 

@@ -8,9 +8,8 @@ Every flag can also be supplied through ``--config FILE`` or
 (booleans as true/false). Each line becomes one ``--key=value`` token, so a
 negative value such as -4.6e-05 is not read as a flag. A flag given on the
 command line wins over its config value, and a config value over the library
-default; a given --rate or --interval also sets aside the config value of the
-other. If RANDSAMP_OUT_DIR is set, relative ``--out`` paths are placed inside
-it.
+default. If RANDSAMP_OUT_DIR is set, relative ``--out`` paths are placed
+inside it.
 """
 
 from __future__ import annotations
@@ -62,10 +61,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# generate takes exactly one of these grid spacings.
-_SPACING = {"--rate": "sample rate in Hz", "--interval": "sample interval in s"}
-
-
 def _names(token: str, flag: str) -> bool:
     """Whether token gives flag: in full or as an abbreviation argparse
     accepts, with or without =value."""
@@ -93,8 +88,7 @@ def _read_config_flags(path: str) -> list[str]:
 
 def _inject_config(argv: list[str]) -> list[str]:
     """Splice the flags of the --config file in right after the subcommand, so
-    that flags typed on the command line, which come later, win. A typed grid
-    spacing drops the config's, which argparse would reject beside it."""
+    that flags typed on the command line, which come later, win."""
     path = None  # the last --config FILE or --config=FILE wins, as in argparse
     for i, token in enumerate(argv):
         if _names(token, "--config"):
@@ -104,10 +98,7 @@ def _inject_config(argv: list[str]) -> list[str]:
         return argv  # no --config, or argparse reports its missing value
     if argv[0].startswith("-"):
         raise UsageError("--config goes after the subcommand: randsamp COMMAND --config FILE")
-    config = _read_config_flags(path)
-    if any(_names(token, flag) for token in argv[1:] for flag in _SPACING):
-        config = [token for token in config if token.partition("=")[0] not in _SPACING]
-    return argv[:1] + config + argv[1:]
+    return argv[:1] + _read_config_flags(path) + argv[1:]
 
 
 def _resolve_out(path_str: str | None) -> Path | None:
@@ -163,18 +154,23 @@ def _write_table(args, out: Path | None, header: str, rows, doc: dict) -> int:
     return EXIT_OK
 
 
+def _interval(rate: float) -> float:
+    """The grid interval 1/rate of a --rate in Hz."""
+    if not 0.0 < rate < math.inf:
+        raise UsageError(f"--rate must be positive and finite, got {rate}")
+    return 1.0 / rate
+
+
 def _cmd_generate(args) -> int:
     out = _resolve_out(args.out)
     signal = _make_signal(args)
-    if args.rate is not None and not 0.0 < args.rate < math.inf:
-        raise UsageError(f"--rate must be positive and finite, got {args.rate}")
-    interval = 1.0 / args.rate if args.rate is not None else args.interval
+    interval = _interval(args.rate)
     t0 = signals.grid_origin(signal) if args.t0 is None else args.t0
     n = args.n
-    if n is None and isinstance(signal, signals.GaussPulseSignal) and args.rate is not None:
+    if n is None and isinstance(signal, signals.GaussPulseSignal):
         n = signal.grid_points(args.rate)
     if n is None:
-        raise UsageError("generate needs --n (it is implied only for gauspuls with --rate)")
+        raise UsageError("generate needs --n (it is implied only for gauspuls)")
     grid = signals.uniform_samples(signal, n, interval, t0)
     doc = {"interval": interval, "origin": t0, "values": list(map(float, grid.values))}
     return _write_table(args, out, "time,value", zip(grid.times, grid.values), doc)
@@ -200,7 +196,7 @@ def _cmd_build_matrix(args) -> int:
         raise UsageError("build-matrix needs --out (matrix CSV is not written to stdout)")
     out = _resolve_out(args.out)
     times = files.read_column(args.times, "time") - args.t0
-    matrix = obs_matrix.build(args.method, times, args.interval, args.n, args.p_terms)
+    matrix = obs_matrix.build(args.method, times, _interval(args.rate), args.n, args.p_terms)
     obs_matrix.save_matrix_csv(matrix, out)
     return EXIT_OK
 
@@ -330,10 +326,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="sample a signal on a uniform grid")
     _add_signal_flags(p)
-    p.add_argument("--n", type=int, help="grid length (implied for gauspuls with --rate)")
-    spacing = p.add_mutually_exclusive_group(required=True)
-    for flag, text in _SPACING.items():
-        spacing.add_argument(flag, type=float, help=text)
+    p.add_argument("--n", type=int, help="grid length (implied for gauspuls)")
+    p.add_argument("--rate", type=float, required=True, help="grid sample rate in Hz")
     p.add_argument("--t0", type=float, help="grid origin (default 0; gauspuls: -cutoff)")
     _add_common_out(p)
     p.set_defaults(func=_cmd_generate)
@@ -349,7 +343,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("build-matrix", help="build an observation matrix for given sample times")
     p.add_argument("--times", required=True, help="CSV with a 'time' column (e.g. from sample)")
-    p.add_argument("--interval", type=float, required=True, help="uniform grid interval in s")
+    p.add_argument("--rate", type=float, required=True, help="grid sample rate in Hz")
     p.add_argument("--n", type=int, required=True, help="grid length")
     p.add_argument("--t0", type=float, default=0.0,
                    help="grid origin subtracted from the times (default 0; generate and sample start a gauspuls "

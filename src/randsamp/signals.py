@@ -257,6 +257,8 @@ def draw_random_times(m: int, duration: float, t0: float = 0.0, seed: int = 0) -
         raise ValueError(f"duration must be positive and finite, got {duration}")
     if not math.isfinite(t0 + duration):
         raise ValueError(f"t0 and t0 + duration must be finite, got t0={t0}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TIME_DRAWS):
         times = np.sort(rng.uniform(t0, t0 + duration, size=m))

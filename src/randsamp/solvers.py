@@ -242,7 +242,7 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     # so c_j = (alpha_j - i beta_j) / 2 for the weights of Re a_j and Im a_j,
     # laid out in `slots` with DC's weight moved to its Re slot.
     slots[:] = 0.0
-    slots[np.add(columns, 1)] = coeffs
+    slots[1:][columns] = coeffs
     slots[:2] = slots[1], 0.0
     half = 0.5 * pairs.conj()
     half[self_paired] *= 2.0

@@ -198,7 +198,7 @@ class TestPipeline:
             "--seed", "11", "--out", samples,
         ).returncode == 0
         assert run_cli(
-            "build-matrix", "--times", samples, "--interval", "0.00125", "--n", "256",
+            "build-matrix", "--times", samples, "--rate", "800", "--n", "256",
             "--method", "poisson", "--out", matrix,
         ).returncode == 0
         assert run_cli(
@@ -217,7 +217,7 @@ class TestPipeline:
             "--seed", "11", "--out", samples,
         ).returncode == 0
         assert run_cli(
-            "build-matrix", "--times", samples, "--interval", "0.00125", "--n", "256",
+            "build-matrix", "--times", samples, "--rate", "800", "--n", "256",
             "--out", matrix,
         ).returncode == 0
         proc = run_cli(
@@ -226,6 +226,19 @@ class TestPipeline:
         )
         assert proc.returncode == 2, proc.stderr
         assert "recovery failed: support size" in proc.stderr
+
+    @pytest.mark.parametrize("solver", ["omp", "tv"])
+    def test_recover_zero_measurements_gives_zeros(self, run_cli, tmp_path, solver):
+        # OMP selects nothing; it used to index with an empty float array.
+        assert run_cli("sample", "--signal", "trig", "--m", "8", "--duration", "0.02", "--seed", "11",
+                       "--out", "s.csv").returncode == 0
+        assert run_cli("build-matrix", "--times", "s.csv", "--rate", "800", "--n", "16",
+                       "--out", "m0.csv").returncode == 0
+        (tmp_path / "zeros.csv").write_text("value\n" + "0.0\n" * 8)
+        proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "zeros.csv", "--solver", solver,
+                       "--out", "rec.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert read_csv_column(tmp_path / "rec.csv", "value") == ["0.0"] * 16
 
     def test_recover_from_matrix_csv_matches_atom_path(self, run_cli, tmp_path):
         # recover takes the real FFT of the rows of the M0 it reads; the
@@ -241,7 +254,7 @@ class TestPipeline:
             "--seed", "11", "--out", samples,
         ).returncode == 0
         assert run_cli(
-            "build-matrix", "--times", samples, "--interval", "1.25e-3", "--n", "256",
+            "build-matrix", "--times", samples, "--rate", "800", "--n", "256",
             "--method", "poisson", "--out", matrix,
         ).returncode == 0
         assert run_cli(
@@ -268,7 +281,7 @@ class TestPipeline:
                        "--out", "s.csv").returncode == 0
         t0 = read_csv_column(tmp_path / "grid.csv", "time")[0]
         assert float(t0) < 0.0
-        proc = run_cli("build-matrix", "--times", "s.csv", "--interval", "1e-7", "--n", "928", f"--t0={t0}",
+        proc = run_cli("build-matrix", "--times", "s.csv", "--rate", "1e7", "--n", "928", f"--t0={t0}",
                        "--out", "m0.csv")
         assert proc.returncode == 0, proc.stderr
         proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "s.csv", "--max-atoms", "24",
@@ -282,7 +295,7 @@ class TestPipeline:
         # argparse's own pattern takes a negative number with an exponent for a flag
         assert run_cli("sample", "--signal", "gauspuls", "--m", "8", "--duration", "9.28e-5", "--seed", "3",
                        "--out", "s.csv").returncode == 0
-        build = ("build-matrix", "--times", "s.csv", "--interval", "1e-7", "--n", "64")
+        build = ("build-matrix", "--times", "s.csv", "--rate", "1e7", "--n", "64")
         t0 = "-4.635491741357094e-05"
         for t0_flag, out in ((["--t0", t0], "space.csv"), ([f"--t0={t0}"], "eq.csv")):
             proc = run_cli(*build, *t0_flag, "--out", out)
@@ -295,7 +308,7 @@ class TestPipeline:
         # budget is capped below M, so neither solve over-selects.
         assert run_cli("sample", "--signal", "square", "--period", "0.5", "--m", "8", "--duration", "1",
                        "--seed", "3", "--out", "s.csv").returncode == 0
-        assert run_cli("build-matrix", "--times", "s.csv", "--interval", "0.0625", "--n", "16",
+        assert run_cli("build-matrix", "--times", "s.csv", "--rate", "16", "--n", "16",
                        "--out", "m0.csv").returncode == 0
         proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "s.csv", "--solver", solver)
         assert proc.returncode == 0, proc.stderr
@@ -318,12 +331,12 @@ class TestPipeline:
         if plan.solver == "tv":
             assert plan.tv.lam is None  # the data-scaled default, which no flag sets
             solver_flags += ["--tv-iters", plan.tv.max_iters]
-        assert run_cli("generate", "--signal", preset, "--n", plan.n_grid, "--interval", repr(plan.interval),
+        assert run_cli("generate", "--signal", preset, "--n", plan.n_grid, "--rate", repr(1 / plan.interval),
                        "--out", "grid.csv").returncode == 0
         assert run_cli("sample", "--signal", preset, "--m", plan.m_samples, "--duration", repr(plan.duration),
                        "--seed", seed, "--out", "s.csv").returncode == 0
         t0 = read_csv_column(tmp_path / "grid.csv", "time")[0]
-        assert run_cli("build-matrix", "--times", "s.csv", "--interval", repr(plan.interval), "--n", plan.n_grid,
+        assert run_cli("build-matrix", "--times", "s.csv", "--rate", repr(1 / plan.interval), "--n", plan.n_grid,
                        f"--t0={t0}", "--out", "m0.csv").returncode == 0
         proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "s.csv", *solver_flags, "--out", "rec.csv")
         assert proc.returncode == 0, proc.stderr
@@ -341,7 +354,7 @@ class TestPipeline:
             "--duration", "1.0", "--seed", "3", "--out", samples,
         ).returncode == 0
         assert run_cli(
-            "build-matrix", "--times", samples, "--interval", str(1.0 / 240.0),
+            "build-matrix", "--times", samples, "--rate", "240",
             "--n", "240", "--out", matrix,
         ).returncode == 0
         proc = run_cli(
@@ -362,7 +375,7 @@ class TestPipeline:
             ("generate", "--signal", "square", "--n", "240", "--rate", "240", "--out", "grid.csv"),
             ("sample", "--signal", "square", "--m", "80", "--duration", "1", "--seed", "7191089600892374487",
              "--out", "s.csv"),
-            ("build-matrix", "--times", "s.csv", "--interval", "0.004166666666666667", "--n", "240",
+            ("build-matrix", "--times", "s.csv", "--rate", "240", "--n", "240",
              "--out", "m0.csv"),
         ):
             assert run_cli(*argv).returncode == 0
@@ -390,13 +403,16 @@ class TestUsage:
             ["experiment", "--preset", "square", "--tv-epsilon", "1e-2"],
             ["sweep-p", "--tv-epsilon", "1e-2"],
             ["experiment", "--preset", "trig", "--jobs", "2"],
+            ["generate", "--signal", "trig", "--n", "4", "--rate", "800", "--interval", "1"],
+            ["build-matrix", "--times", "t.csv", "--rate", "800", "--n", "8", "--out", "m.csv", "--interval", "1"],
         ],
         ids=["recover-tv-epsilon", "recover-tv-grad-tol", "experiment-tv-epsilon", "sweep-p-tv-epsilon",
-             "experiment-jobs"],
+             "experiment-jobs", "generate-interval", "build-matrix-interval"],
     )
     def test_removed_flag_exits_1(self, monkeypatch, capsys, tmp_path, argv):
-        # TvConfig.epsilon and .grad_tol are constants, and runs are serial,
-        # so these flags are gone and argparse rejects them.
+        # TvConfig.epsilon and .grad_tol are constants, runs are serial, and
+        # the grid spacing is given only as --rate, so these flags are gone
+        # and argparse rejects them.
         from randsamp.cli import main
 
         monkeypatch.chdir(tmp_path)
@@ -410,17 +426,10 @@ class TestUsage:
     def test_no_subcommand_exits_1(self, run_cli):
         assert run_cli().returncode == 1
 
-    @pytest.mark.parametrize(
-        "spacing, message",
-        [(["--rate", "800", "--interval", "1"], "argument --interval: not allowed with argument --rate"),
-         ([], "one of the arguments --rate --interval is required")],
-        ids=["both", "neither"],
-    )
-    def test_generate_takes_exactly_one_of_rate_and_interval(self, run_cli, spacing, message):
-        # Given both, --rate used to win silently.
-        proc = run_cli("generate", "--signal", "trig", "--n", "3", *spacing)
+    def test_generate_needs_rate(self, run_cli):
+        proc = run_cli("generate", "--signal", "trig", "--n", "3")
         assert proc.returncode == 1
-        assert message in proc.stderr
+        assert "the following arguments are required: --rate" in proc.stderr
         assert proc.stdout == ""
 
     def test_help_everywhere(self, run_cli):
@@ -447,7 +456,7 @@ class TestMalformedColumnFiles:
     def test_empty_file(self, run_cli, tmp_path):
         times = tmp_path / "empty.csv"
         times.write_text("")
-        proc = run_cli("build-matrix", "--times", times, "--interval", "1", "--n", "8", "--out", "m.csv")
+        proc = run_cli("build-matrix", "--times", times, "--rate", "1", "--n", "8", "--out", "m.csv")
         assert proc.returncode == 1
         assert proc.stderr.startswith("randsamp: error: ")
         assert str(times) in proc.stderr and "empty" in proc.stderr
@@ -456,7 +465,7 @@ class TestMalformedColumnFiles:
     def test_row_shorter_than_header(self, run_cli, tmp_path):
         values = tmp_path / "short.csv"
         values.write_text("index,time\n0\n")
-        proc = run_cli("build-matrix", "--times", values, "--interval", "1", "--n", "8", "--out", "m.csv")
+        proc = run_cli("build-matrix", "--times", values, "--rate", "1", "--n", "8", "--out", "m.csv")
         assert proc.returncode == 1
         assert proc.stderr.startswith("randsamp: error: ")
         assert f"{values}: line 2 has no 'time' field" in proc.stderr
@@ -465,7 +474,7 @@ class TestMalformedColumnFiles:
     def test_non_numeric_field(self, run_cli, tmp_path):
         times = tmp_path / "bad.csv"
         times.write_text("index,time\n0,0.5\n1,abc\n")
-        proc = run_cli("build-matrix", "--times", times, "--interval", "1", "--n", "8", "--out", "m.csv")
+        proc = run_cli("build-matrix", "--times", times, "--rate", "1", "--n", "8", "--out", "m.csv")
         assert proc.returncode == 1
         assert proc.stderr.startswith("randsamp: error: ")
         assert f"{times}: line 3: 'time' field 'abc' is not a number" in proc.stderr
@@ -521,23 +530,23 @@ class TestNumericFlags:
              "--rate must be positive and finite, got 0.0"),
             (["generate", "--signal", "trig", "--n", "4", "--rate", "nan"], "--rate must be positive"),
             (["generate", "--signal", "gauspuls", "--rate", "nan"], "--rate must be positive"),
-            (["generate", "--signal", "trig", "--n", "4", "--interval", "nan"],
-             "interval must be positive and finite"),
-            (["generate", "--signal", "gauspuls", "--n", "4", "--interval", "1e-6", "--fc", "nan"],
+            (["generate", "--signal", "gauspuls", "--n", "4", "--rate", "1e6", "--fc", "nan"],
              "center_freq must be positive and finite"),
-            (["generate", "--signal", "gauspuls", "--n", "4", "--interval", "1e-6", "--bwr", "nan"],
+            (["generate", "--signal", "gauspuls", "--n", "4", "--rate", "1e6", "--bwr", "nan"],
              "bwr_db=nan"),
-            (["generate", "--signal", "gauspuls", "--n", "4", "--interval", "1e-6", "--tpr", "nan"],
+            (["generate", "--signal", "gauspuls", "--n", "4", "--rate", "1e6", "--tpr", "nan"],
              "tpr_db=nan"),
-            (["generate", "--signal", "square", "--n", "4", "--interval", "0.1", "--period", "nan"],
+            (["generate", "--signal", "square", "--n", "4", "--rate", "10", "--period", "nan"],
              "period must be positive and finite"),
-            (["generate", "--signal", "square", "--n", "4", "--interval", "0.1", "--amplitude", "nan"],
+            (["generate", "--signal", "square", "--n", "4", "--rate", "10", "--amplitude", "nan"],
              "amplitude must be finite"),
-            (["build-matrix", "--times", "t.csv", "--interval", "nan", "--n", "8", "--out", "m.csv"],
-             "interval must be positive and finite"),
-            (["build-matrix", "--times", "t.csv", "--interval", "inf", "--n", "8", "--out", "m.csv"],
-             "interval must be positive and finite"),
-            (["build-matrix", "--times", "missing.csv", "--interval", "1", "--n", "8"],
+            (["build-matrix", "--times", "t.csv", "--rate", "0", "--n", "8", "--out", "m.csv"],
+             "--rate must be positive and finite, got 0.0"),
+            (["build-matrix", "--times", "t.csv", "--rate", "nan", "--n", "8", "--out", "m.csv"],
+             "--rate must be positive and finite, got nan"),
+            (["build-matrix", "--times", "t.csv", "--rate", "inf", "--n", "8", "--out", "m.csv"],
+             "--rate must be positive and finite, got inf"),
+            (["build-matrix", "--times", "missing.csv", "--rate", "1", "--n", "8"],
              "build-matrix needs --out"),
             (["sample", "--signal", "trig", "--m", "4", "--duration", "nan"],
              "duration must be positive and finite"),
@@ -545,13 +554,15 @@ class TestNumericFlags:
              "duration must be positive and finite"),
             (["sample", "--signal", "trig", "--m", "4", "--duration", "1", "--t0", "nan"],
              "t0 and t0 + duration must be finite"),
+            (["sample", "--signal", "trig", "--m", "4", "--duration", "1", "--seed", "-1"],
+             "seed must be nonnegative, got -1"),
             (["experiment", "--preset", "trig", "--runs", "1", "--residual-tol", "nan"],
              "residual_tol must be nonnegative and finite"),
         ],
-        ids=["generate-rate-zero", "generate-rate-nan", "gauspuls-rate-nan", "interval-nan",
-             "fc-nan", "bwr-nan", "tpr-nan", "period-nan", "amplitude-nan", "build-interval-nan",
-             "build-interval-inf", "build-out-checked-first", "duration-nan", "duration-inf",
-             "sample-t0-nan", "residual-tol-nan"],
+        ids=["generate-rate-zero", "generate-rate-nan", "gauspuls-rate-nan",
+             "fc-nan", "bwr-nan", "tpr-nan", "period-nan", "amplitude-nan", "build-rate-zero", "build-rate-nan",
+             "build-rate-inf", "build-out-checked-first", "duration-nan", "duration-inf",
+             "sample-t0-nan", "sample-seed-negative", "residual-tol-nan"],
     )
     def test_rejected_with_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
         from randsamp.cli import main
@@ -575,11 +586,11 @@ class TestExtremeFiniteInputs:
         [
             (["generate", "--signal", "gauspuls", "--fc", "1e-300", "--rate", "1e6"],
              "envelope variance inf"),
-            (["generate", "--signal", "gauspuls", "--fc", "1e300", "--n", "4", "--interval", "1e-6"],
+            (["generate", "--signal", "gauspuls", "--fc", "1e300", "--n", "4", "--rate", "1e6"],
              "envelope variance 0.0"),
             (["generate", "--signal", "gauspuls", "--fc", "1e-150", "--rate", "1e6"],
              "gives a grid of N="),
-            (["build-matrix", "--times", "t.csv", "--interval", "1e-320", "--n", "8", "--out", "m.csv"],
+            (["build-matrix", "--times", "t.csv", "--rate", "1e308", "--n", "8", "--out", "m.csv"],
              "times / interval must be finite"),
             # windows holding fewer doubles than M: the time draw used to loop forever
             (["sample", "--signal", "trig", "--m", "8", "--duration", "1e-15", "--t0", "1"],
@@ -607,7 +618,7 @@ class TestUnwritableOut:
         [
             ["generate", "--signal", "trig", "--n", "4", "--rate", "800"],
             ["experiment", "--preset", "trig", "--runs", "1"],
-            ["build-matrix", "--times", "t.csv", "--interval", "0.1", "--n", "8"],
+            ["build-matrix", "--times", "t.csv", "--rate", "10", "--n", "8"],
         ],
         ids=["generate", "experiment", "build-matrix"],
     )
@@ -669,33 +680,13 @@ class TestConfigFile:
         # Spliced as "--t0" "-2.5e-01", the value used to read as a flag.
         (tmp_path / "t.csv").write_text("time\n0.5\n2.5\n")
         (tmp_path / "t.cfg").write_text("t0=-2.5e-01\n")
-        build = ("build-matrix", "--times", "t.csv", "--interval", "0.5", "--n", "8")
+        build = ("build-matrix", "--times", "t.csv", "--rate", "2", "--n", "8")
         proc = run_cli(*build, "--config", "t.cfg", "--out", "config.csv")
         assert proc.returncode == 0, proc.stderr
         assert run_cli(*build, "--t0=-2.5e-01", "--out", "flag.csv").returncode == 0
         assert run_cli(*build, "--out", "zero.csv").returncode == 0
         config = (tmp_path / "config.csv").read_text()
         assert config == (tmp_path / "flag.csv").read_text() != (tmp_path / "zero.csv").read_text()
-
-    @pytest.mark.parametrize(
-        "config, flag, second_time",
-        [("rate=800", ["--interval", "1"], "1.0"), ("interval=1", ["--rate", "800"], "0.00125"),
-         ("rate=800", ["--interval=1"], "1.0")],
-        ids=["interval-over-config-rate", "rate-over-config-interval", "interval-equals"],
-    )
-    def test_given_spacing_sets_aside_the_configs(self, run_cli, tmp_path, config, flag, second_time):
-        # argparse used to reject the pair: "argument --interval: not allowed with argument --rate".
-        (tmp_path / "g.cfg").write_text(config + "\n")
-        proc = run_cli("generate", "--signal", "trig", "--n", "4", "--config", "g.cfg", *flag)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[2].split(",")[0] == second_time
-
-    def test_both_spacings_given_still_rejected(self, run_cli, tmp_path):
-        (tmp_path / "g.cfg").write_text("rate=800\n")
-        proc = run_cli("generate", "--signal", "trig", "--n", "4", "--config", "g.cfg",
-                       "--rate", "800", "--interval", "1")
-        assert proc.returncode == 1
-        assert "argument --interval: not allowed with argument --rate" in proc.stderr
 
     def test_config_before_subcommand_rejected(self, run_cli, tmp_path):
         # Spliced in as the command, the file's values read as "invalid choice".
@@ -793,7 +784,7 @@ class TestLibraryDefaults:
         plan = resolve_plan(ExperimentConfig(preset=preset))
         assert plan.signal == type(plan.signal)()
         out = tmp_path / "grid.json"
-        proc = run_cli("generate", "--signal", preset, "--n", plan.n_grid, "--interval", repr(plan.interval),
+        proc = run_cli("generate", "--signal", preset, "--n", plan.n_grid, "--rate", repr(1 / plan.interval),
                        "--format", "json", "--out", out)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(out.read_text())
@@ -831,7 +822,7 @@ class TestLibraryDefaults:
 
     def test_truncated_build_without_p_is_the_librarys_error(self, run_cli, tmp_path):
         (tmp_path / "t.csv").write_text("time\n0.5\n2.5\n")
-        proc = run_cli("build-matrix", "--times", "t.csv", "--interval", "1", "--n", "8",
+        proc = run_cli("build-matrix", "--times", "t.csv", "--rate", "1", "--n", "8",
                        "--method", "truncated", "--out", "m.csv")
         assert proc.returncode == 1
         assert proc.stderr == "randsamp: error: truncated method needs p_terms\n"
@@ -846,7 +837,7 @@ class TestFileEncoding:
         """The README trig pipeline's samples and matrix, and a config file."""
         assert run_cli("sample", "--signal", "trig", "--m", "64", "--duration", "0.32",
                        "--seed", "11", "--out", "samples.csv").returncode == 0
-        assert run_cli("build-matrix", "--times", "samples.csv", "--interval", "0.00125", "--n", "256",
+        assert run_cli("build-matrix", "--times", "samples.csv", "--rate", "800", "--n", "256",
                        "--out", "m0.csv").returncode == 0
         (tmp_path / "run.cfg").write_text("runs=2\n")
         return tmp_path / "samples.csv", tmp_path / "m0.csv", tmp_path / "run.cfg"
@@ -854,7 +845,7 @@ class TestFileEncoding:
     @staticmethod
     def argv(role, path):
         if role == "times":
-            return ["build-matrix", "--times", path, "--interval", "0.00125", "--n", "256", "--out", "m.csv"]
+            return ["build-matrix", "--times", path, "--rate", "800", "--n", "256", "--out", "m.csv"]
         if role == "matrix":
             return ["recover", "--matrix", path, "--measurements", "samples.csv"]
         return ["experiment", "--preset", "trig", "--config", path]
@@ -922,7 +913,7 @@ class TestFileEncoding:
         for argv in (
             ["generate", "--signal", "trig", "--n", "256", "--rate", "800", "--out", "grid.csv"],
             ["sample", "--signal", "trig", "--m", "64", "--duration", "0.32", "--seed", "11", "--out", "samples.csv"],
-            ["build-matrix", "--times", "samples.csv", "--interval", "1.25e-3", "--n", "256", "--out", "m0.csv"],
+            ["build-matrix", "--times", "samples.csv", "--rate", "800", "--n", "256", "--out", "m0.csv"],
             ["recover", "--matrix", "m0.csv", "--measurements", "samples.csv", "--out", "recovered.csv"],
             ["experiment", "--config", "run.cfg", "--out", "r.csv"],
         ):

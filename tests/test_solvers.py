@@ -511,6 +511,17 @@ class TestSolve:
         assert np.array_equal(got.recovered, expected.recovered)
         assert np.array_equal(got.objective_history, expected.objective_history)
 
+    @pytest.mark.parametrize("solver", ["omp", "tv"])
+    def test_zero_measurements_recover_zero(self, solver):
+        # OMP selects nothing, so its support used to index with an empty
+        # float array; TV starts at zero, where lam = 0 and grad J = 0.
+        m0, _ = random_tv_problem(12, 32, 5)
+        result = solve(solver, sensing_matrix(m0), m0, np.zeros(12), OmpConfig(max_atoms=6), TvConfig())
+        assert np.array_equal(result.recovered, np.zeros(32))
+        assert result.iterations == 0
+        if solver == "omp":
+            assert result.support == []
+
     def test_unknown_solver_rejected(self):
         m0, y = random_tv_problem(12, 32, 5)
         with pytest.raises(ValueError, match="unknown solver 'lasso'"):

@@ -426,10 +426,17 @@ class TestUsage:
     def test_no_subcommand_exits_1(self, run_cli):
         assert run_cli().returncode == 1
 
-    def test_generate_needs_rate(self, run_cli):
-        proc = run_cli("generate", "--signal", "trig", "--n", "3")
+    @pytest.mark.parametrize(
+        "spacing, message",
+        [(["--rate", "800", "--interval", "1"], "unrecognized arguments: --interval 1"),
+         ([], "the following arguments are required: --rate")],
+        ids=["both", "neither"],
+    )
+    def test_generate_takes_exactly_one_of_rate_and_interval(self, run_cli, spacing, message):
+        # --interval is gone, so the one spacing generate takes is a required --rate.
+        proc = run_cli("generate", "--signal", "trig", "--n", "3", *spacing)
         assert proc.returncode == 1
-        assert "the following arguments are required: --rate" in proc.stderr
+        assert message in proc.stderr
         assert proc.stdout == ""
 
     def test_help_everywhere(self, run_cli):
@@ -543,7 +550,9 @@ class TestNumericFlags:
             (["build-matrix", "--times", "t.csv", "--rate", "0", "--n", "8", "--out", "m.csv"],
              "--rate must be positive and finite, got 0.0"),
             (["build-matrix", "--times", "t.csv", "--rate", "nan", "--n", "8", "--out", "m.csv"],
-             "--rate must be positive and finite, got nan"),
+             "--rate must be positive and finite, got nan"),  # the interval 1/rate would be NaN
+            (["build-matrix", "--times", "t.csv", "--rate", "1e-320", "--n", "8", "--out", "m.csv"],
+             "interval must be positive and finite, got inf"),  # 1/rate overflows
             (["build-matrix", "--times", "t.csv", "--rate", "inf", "--n", "8", "--out", "m.csv"],
              "--rate must be positive and finite, got inf"),
             (["build-matrix", "--times", "missing.csv", "--rate", "1", "--n", "8"],
@@ -560,8 +569,8 @@ class TestNumericFlags:
              "residual_tol must be nonnegative and finite"),
         ],
         ids=["generate-rate-zero", "generate-rate-nan", "gauspuls-rate-nan",
-             "fc-nan", "bwr-nan", "tpr-nan", "period-nan", "amplitude-nan", "build-rate-zero", "build-rate-nan",
-             "build-rate-inf", "build-out-checked-first", "duration-nan", "duration-inf",
+             "fc-nan", "bwr-nan", "tpr-nan", "period-nan", "amplitude-nan", "build-rate-zero",
+             "build-interval-nan", "build-interval-inf", "build-rate-inf", "build-out-checked-first", "duration-nan", "duration-inf",
              "sample-t0-nan", "sample-seed-negative", "residual-tol-nan"],
     )
     def test_rejected_with_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -687,6 +696,13 @@ class TestConfigFile:
         assert run_cli(*build, "--out", "zero.csv").returncode == 0
         config = (tmp_path / "config.csv").read_text()
         assert config == (tmp_path / "flag.csv").read_text() != (tmp_path / "zero.csv").read_text()
+
+    def test_both_spacings_given_still_rejected(self, run_cli, tmp_path):
+        (tmp_path / "g.cfg").write_text("rate=800\n")
+        proc = run_cli("generate", "--signal", "trig", "--n", "4", "--config", "g.cfg",
+                       "--rate", "800", "--interval", "1")
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --interval 1" in proc.stderr
 
     def test_config_before_subcommand_rejected(self, run_cli, tmp_path):
         # Spliced in as the command, the file's values read as "invalid choice".

@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if not 0 <= self.master_seed <= _MASK64:  # derive_run_seed would wrap it modulo 2**64
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.m_samples is not None and self.m_samples < 1:
             raise ValueError(f"m_samples must be at least 1, got {self.m_samples}")
         if self.n_grid is not None and self.n_grid < 2:
@@ -247,8 +249,10 @@ def _run(
     Resumed, it re-raises that RecoveryError, or yields the run's
     Reconstruction.
 
-    build_time_s times what makes the operators the solvers read (for OMP on
-    ``poisson``, only :func:`poisson_sensing`), solve_time_s :func:`solve`.
+    build_time_s times what makes the operators the solvers read, and
+    solve_time_s :func:`solve`. For OMP on ``poisson`` the build is only
+    :func:`poisson_sensing`, the two factor tables of the atoms; the columns
+    and correlations OMP forms from them are part of the solve.
     """
     seed = derive_run_seed(cfg.master_seed, run_id)
     times = draw_random_times(plan.m_samples, plan.duration, plan.t0, seed)

@@ -14,19 +14,25 @@ Re a_0, Re a_1, Im a_1, Re a_2, Im a_2, ..., ending Re a_{N/2} for even N
 and Im a_{(N-1)/2} for odd N (the Im parts of DC and even-N Nyquist are zero
 and left out). Frequency j >= 1 thus sits in columns 2j - 1 and 2j. That is
 the interleaved complex table of a_0..a_{N//2} read as floats from its
-second slot, so both producers return a view of the complex table, with
-Re a_0 copied into Im a_0's slot, and no second array is made.
-:func:`sensing_matrix` takes it as the real FFT of M0's rows, for any M0. For
-a ``poisson`` M0 the atoms a_j = e^{2 pi i j u / N} / sqrt(N), u = t / T, are
-the one closed form: ``obs_matrix.build_poisson`` is their inverse real FFT,
-and :func:`poisson_sensing` lays them out here from the sample times alone.
+second slot, with Re a_0 copied into Im a_0's slot, so no second array is
+made. :func:`sensing_matrix` takes it as the real FFT of M0's rows, for any
+M0, and returns such a view.
+
+For a ``poisson`` M0 the atoms a_j = e^{2 pi i j u / N} / sqrt(N), u = t / T,
+are the one closed form, and each is the product of two factors: with
+B = ceil(sqrt(N//2 + 1)), a_{bB+c} = e^{2 pi i bB u / N} *
+e^{2 pi i c u / N} / sqrt(N). ``obs_matrix.build_poisson`` forms every
+product for its inverse real FFT. :func:`poisson_sensing` keeps the two
+M x ~sqrt(N/2) factor tables instead, as a :class:`PoissonSensing`, which
+OMP reads through the three operations it needs: the column norms, the
+correlations of a residual with every column, and one column.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .obs_matrix import _poisson_atoms
+from .obs_matrix import _check_args, _poisson_atoms, _poisson_factors
 
 
 def dft_forward(x) -> np.ndarray:
@@ -40,20 +46,73 @@ def dft_adjoint(coeffs) -> np.ndarray:
 
 
 def _halfcomplex(atoms, n_grid: int) -> np.ndarray:
-    """Real M x N view, in the halfcomplex layout above, of an M x W complex
-    table whose column j is a_j, for W >= N//2 + 1. Overwrites Im a_0."""
+    """Real view, in the halfcomplex layout above, of a complex array whose
+    last axis holds a_j at index j, for at least N//2 + 1 indices.
+    Overwrites Im a_0."""
     flat = atoms.view(float)
-    flat[:, 1] = flat[:, 0]
-    return flat[:, 1 : n_grid + 1]
+    flat[..., 1] = flat[..., 0]
+    return flat[..., 1 : n_grid + 1]
 
 
-def poisson_sensing(times, interval: float, n_grid: int) -> np.ndarray:
+class PoissonSensing:
+    """Real M x N sensing matrix of a ``poisson`` M0, held as the coarse and
+    fine factor tables of its atoms (see the module docstring): O(M sqrt(N))
+    numbers in place of M N. ``np.asarray`` forms the dense matrix.
+
+    The three reads of :func:`~randsamp.solvers.omp_recover` cost
+    O(M sqrt(N)) memory: a correlation is one complex product
+    coarse^T diag(r) fine, and a column is the product of a coarse and a
+    fine column. A correlation writes into work buffers the instance
+    keeps, so one instance serves one solve at a time.
+    """
+
+    def __init__(self, coarse, fine, n_grid: int):
+        self.coarse, self.fine, self.n_grid = coarse, fine, n_grid
+        self.shape = (len(fine), n_grid)
+        self._scaled = np.empty_like(fine)
+        self._correlations = np.empty((coarse.shape[1], fine.shape[1]), dtype=complex)
+        self._flat = self._correlations.reshape(-1).view(float)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(_halfcomplex(_poisson_atoms(self.coarse, self.fine), self.n_grid), dtype=dtype)
+
+    def sq_norms(self) -> np.ndarray:
+        """Squared norm of every column. Every atom has modulus 1 / sqrt(N),
+        so sum |a_j|^2 = M / N, and ||Re a_j||^2 and ||Im a_j||^2 are half
+        the sum and the difference of that and Re sum a_j^2."""
+        m, n = self.shape
+        square = (np.square(self.coarse).T @ np.square(self.fine)).real.reshape(-1)
+        norms = np.empty(len(square), dtype=complex)
+        np.add(m / n, square, out=norms.real)
+        np.subtract(m / n, square, out=norms.imag)
+        return 0.5 * _halfcomplex(norms, n)
+
+    def correlate(self, r, out) -> None:
+        """Write r @ A, the correlation of r with every column, into out."""
+        np.multiply(self.fine, r[:, None], out=self._scaled)
+        np.matmul(self.coarse.T, self._scaled, out=self._correlations)
+        flat = self._flat
+        flat[1] = flat[0]  # the halfcomplex layout, as _halfcomplex reads it
+        out[:] = flat[1 : self.n_grid + 1]
+
+    def column(self, c: int) -> np.ndarray:
+        """Column c: Re a_j for c = 0 and c = 2j - 1, Im a_j for c = 2j. A
+        strided view of a_j, as a column of the dense matrix is, so that the
+        BLAS products OMP takes of it round alike."""
+        j = (c + 1) // 2
+        b = self.fine.shape[1]
+        atom = self.coarse[:, j // b] * self.fine[:, j % b]
+        return atom.imag if c and c % 2 == 0 else atom.real
+
+
+def poisson_sensing(times, interval: float, n_grid: int) -> PoissonSensing:
     """Real sensing matrix of ``build_poisson(times, interval, n_grid)``: by
     Poisson summation, the atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T,
     with phases reduced exactly. Times are measured from the grid origin, as
-    for the builders. A view of a fresh atom table.
+    for ``build_poisson``. Held as the factor tables of the atoms.
     """
-    return _halfcomplex(_poisson_atoms(times, interval, n_grid), n_grid)
+    u = _check_args(times, interval, n_grid)
+    return PoissonSensing(*_poisson_factors(u, n_grid), n_grid)
 
 
 def sensing_matrix(m0) -> np.ndarray:

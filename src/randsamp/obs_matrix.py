@@ -24,9 +24,11 @@ the entries and the method and P tags only, as the CSV layout does.
                    sin(pi theta) / (N sin(pi theta / N)) for odd N, with no
                    inner summation. By Poisson summation, row m is the
                    inverse DFT of the Fourier atoms e^{2 pi i j u_m / N} /
-                   sqrt(N) at u_m = t_m / T, so a build is one inverse real
-                   FFT of the atom table that ``fourier.poisson_sensing``
-                   reads, whose phases are reduced exactly.
+                   sqrt(N) at u_m = t_m / T, with phases reduced exactly.
+                   Each atom is the product of a coarse and a fine factor,
+                   whose two small tables ``fourier.poisson_sensing`` holds;
+                   a build forms their products and takes one inverse real
+                   FFT.
                    :func:`periodized_sinc` evaluates the same kernel pointwise.
 
 """
@@ -191,28 +193,35 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
     return ObservationMatrix(entries, "truncated", p_terms=p_terms)
 
 
-def _poisson_atoms(times, interval: float, n_grid: int) -> np.ndarray:
-    """Complex Fourier atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T, in a
-    fresh M x W table with column j = 0..W-1, W >= N//2 + 1. With u = k + f,
-    k = round(u), phase j u / N is ((j k mod N) + j f) / N, reduced exactly.
-    With B = ceil(sqrt(N//2 + 1)), atom b B + c is the product of a coarse
-    table at j = b B and a fine one at j = c; W = B ceil((N//2 + 1) / B)
-    keeps the whole product, so that ``fourier.poisson_sensing`` can read it
-    in place.
+def _poisson_factors(u, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse and fine factors of the Fourier atoms e^{2 pi i j u / N} /
+    sqrt(N) at u = t / T, for j = 0..N//2. With B = ceil(sqrt(N//2 + 1)),
+    atom b B + c is coarse[:, b] * fine[:, c]: coarse is the M x
+    ceil((N//2 + 1) / B) table at j = b B, fine the M x B table at j = c,
+    scaled by 1 / sqrt(N). With u = k + f, k = round(u), phase j u / N is
+    ((j k mod N) + j f) / N, the product j k reduced exactly in integers.
     """
-    u = _check_args(times, interval, n_grid)
     k = np.round(u)
     f = u - k
-    k %= n_grid
+    k %= n_grid  # exact, so the integer products below cannot overflow
+    k = k.astype(np.int64)
     h = n_grid // 2 + 1
     b = math.isqrt(h - 1) + 1
 
     def table(j):
-        return np.exp((2j * np.pi / n_grid) * (np.outer(k, j) % n_grid + np.outer(f, j)))
+        phase = (2.0 * np.pi / n_grid) * (np.outer(k, j) % n_grid + np.outer(f, j))
+        out = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
+        return out
 
-    fine = table(np.arange(b)) / math.sqrt(n_grid)
-    coarse = table(b * np.arange(-(-h // b)))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(u), -1)
+    return table(b * np.arange(-(-h // b))), table(np.arange(b)) / math.sqrt(n_grid)
+
+
+def _poisson_atoms(coarse, fine) -> np.ndarray:
+    """The M x W table, W >= N//2 + 1, of the atoms with column b B + c
+    coarse[:, b] * fine[:, c], for the factors of :func:`_poisson_factors`."""
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(fine), -1)
 
 
 def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
@@ -222,13 +231,14 @@ def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
     e^{2 pi i j u_m / N} / sqrt(N) at u_m = t_m / T, conjugated:
     (1/N) sum_j e^{2 pi i j (u_m - n) / N} over the N frequencies nearest 0,
     the Nyquist term read as cos(pi (u_m - n)) for even N. So M0 is the
-    inverse real FFT of the atoms that ``fourier.poisson_sensing`` lays out,
-    whose phases are reduced exactly. Rows with u_m an exact integer are set
-    to the exact unit vector, where the FFT leaves ~1e-17 off the diagonal.
+    inverse real FFT of the atoms whose factors ``fourier.poisson_sensing``
+    holds, with phases reduced exactly. Rows with u_m an exact integer are
+    set to the exact unit vector, where the FFT leaves ~1e-17 off the
+    diagonal.
     """
-    atoms = _poisson_atoms(times, interval, n_grid)[:, : n_grid // 2 + 1]
-    entries = np.fft.irfft(atoms.conj(), n=n_grid, norm="ortho")
     u = _check_args(times, interval, n_grid)
+    atoms = _poisson_atoms(*_poisson_factors(u, n_grid))[:, : n_grid // 2 + 1]
+    entries = np.fft.irfft(atoms.conj(), n=n_grid, norm="ortho")
     on_grid = np.flatnonzero(u == np.round(u))
     entries[on_grid] = 0.0
     entries[on_grid, (u[on_grid] % n_grid).astype(int)] = 1.0

@@ -31,6 +31,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .fourier import PoissonSensing
+
 SOLVERS = ("omp", "tv")
 
 
@@ -158,30 +160,54 @@ def _measurements(y, m: int) -> np.ndarray:
     return y
 
 
+class _DenseSensing:
+    """The three reads of :func:`omp_recover`, as on a
+    :class:`~randsamp.fourier.PoissonSensing`, of a real M x N array."""
+
+    def __init__(self, a):
+        self.a, self.shape = a, a.shape
+
+    def sq_norms(self) -> np.ndarray:
+        return np.einsum("ij,ij->j", self.a, self.a)
+
+    def correlate(self, r, out) -> None:
+        np.matmul(r, self.a, out=out)
+
+    def column(self, c: int) -> np.ndarray:
+        return self.a[:, c]
+
+
 def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     """Greedy recovery of the real signal behind real measurements y.
 
     sensing is the real M x N sensing matrix of a real M0 in halfcomplex
     order (see :mod:`~randsamp.fourier`): Re a_0, then Re a_j and Im a_j in
-    columns 2j - 1 and 2j. A complex matrix or a non-finite y raises
-    ValueError. Per iteration: (1) pick the frequency j maximizing
-    |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins j and N-j,
-    or one bin for DC and Nyquist; (2) orthogonalize its columns Re a_j and
-    Im a_j (Re a_j alone for DC and Nyquist) against those selected before,
-    by classical Gram-Schmidt applied twice, which extends a[:, S] = Q R over
-    the selected columns S; (3) project y onto Q for the residual. Stops when
-    the support reaches cfg.max_atoms bins or the residual drops below
-    cfg.residual_tol * ||y||; back substitution in R c = Q^T y then gives the
-    coefficients, whose residual is the last one tracked.
+    columns 2j - 1 and 2j; either an array or the
+    :class:`~randsamp.fourier.PoissonSensing` that ``poisson_sensing``
+    returns, which is read without forming the matrix. A complex array or a
+    non-finite y raises ValueError. Per iteration: (1) pick the frequency j
+    maximizing |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins
+    j and N-j, or one bin for DC and Nyquist; (2) orthogonalize its columns
+    Re a_j and Im a_j (Re a_j alone for DC and Nyquist) against those
+    selected before, by classical Gram-Schmidt applied twice, which extends
+    a[:, S] = Q R over the selected columns S; (3) project y onto Q for the
+    residual. Stops when the support reaches cfg.max_atoms bins or the
+    residual drops below cfg.residual_tol * ||y||; back substitution in
+    R c = Q^T y then gives the coefficients, whose residual is the last one
+    tracked.
     A support that outgrows the M measurements raises OverSelectionError. A
     column whose orthogonal remainder is at most M * eps * max_j ||a[:, j]||,
     the rounding floor of a, raises SingularSystemError at that iteration.
     The spectrum is Hermitian by construction, and the time-domain output is
     its inverse real FFT.
     """
-    a = np.asarray(sensing)
-    if np.iscomplexobj(a):
-        raise ValueError("sensing matrix must be real, with Re a_j and Im a_j in separate columns")
+    if isinstance(sensing, PoissonSensing):
+        a = sensing
+    else:
+        a = np.asarray(sensing)
+        if np.iscomplexobj(a):
+            raise ValueError("sensing matrix must be real, with Re a_j and Im a_j in separate columns")
+        a = _DenseSensing(a)
     y = _measurements(y, a.shape[0])
     m, n = a.shape
     if cfg.max_atoms > n:
@@ -194,25 +220,29 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     # column (DC's first, even-N Nyquist's last) stay zero.
     slots = np.zeros(2 * h)
     pairs = slots.view(complex)
-    sq_norms = np.einsum("ij,ij->j", a, a)
+    sq_norms = a.sq_norms()
     slots[1 : n + 1] = sq_norms
     col_norms = np.sqrt(pairs.real + pairs.imag)
     col_norms = np.where(col_norms > 0.0, col_norms, 1.0)
     singular_tol = m * np.finfo(float).eps * math.sqrt(sq_norms.max())
-    y_norm = float(np.linalg.norm(y))
+    y_norm = math.sqrt(y.dot(y))
     residual = y
     basis = np.empty((min(cfg.max_atoms + 1, m), m))  # orthonormal rows, one per column picked
     r = np.zeros((len(basis), len(basis)))  # a[:, columns] = basis.T @ r, r upper triangular
+    score = np.empty(h)
+    is_picked = np.zeros(h, dtype=bool)
     picked: list[int] = []  # frequencies
     support: list[int] = []  # their DFT bins
     columns: list[int] = []  # their columns of a, one per real unknown
     history = [y_norm]
 
     while history[-1] > cfg.residual_tol * y_norm and len(support) < cfg.max_atoms:
-        np.matmul(residual, a, out=slots[1 : n + 1])
-        score = np.abs(pairs) / col_norms
-        score[picked] = -1.0
-        pick = int(np.argmax(score))
+        a.correlate(residual, slots[1 : n + 1])
+        np.abs(pairs, out=score)
+        np.divide(score, col_norms, out=score)
+        np.putmask(score, is_picked, -1.0)
+        pick = int(score.argmax())
+        is_picked[pick] = True
         picked.append(pick)
         new = [c for c in (2 * pick - 1, 2 * pick) if 0 <= c < n]
         support += [pick, n - pick] if len(new) == 2 else [pick]
@@ -221,8 +251,9 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
         for c in new:
             k = len(columns)
             q = basis[:k]
-            projection = q @ a[:, c]
-            v = a[:, c] - projection @ q
+            column = a.column(c)
+            projection = q @ column
+            v = column - projection @ q
             correction = q @ v
             v -= correction @ q
             r[:k, k] = projection + correction
@@ -233,7 +264,7 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
             columns.append(c)
         q = basis[: len(columns)]
         residual = y - (q @ y) @ q
-        history.append(float(np.linalg.norm(residual)))
+        history.append(math.sqrt(residual.dot(residual)))
 
     k = len(columns)  # r is triangular, so solve's LU is back substitution
     coeffs = np.linalg.solve(r[:k, :k], basis[:k] @ y)

@@ -567,11 +567,16 @@ class TestNumericFlags:
              "seed must be nonnegative, got -1"),
             (["experiment", "--preset", "trig", "--runs", "1", "--residual-tol", "nan"],
              "residual_tol must be nonnegative and finite"),
+            (["experiment", "--preset", "trig", "--runs", "1", "--seed", "-1"],
+             "master_seed must be in [0, 2**64), got -1"),
+            (["sweep-p", "--p-list", "2", "--runs", "1", "--seed", str(2**64)],
+             f"master_seed must be in [0, 2**64), got {2**64}"),
         ],
         ids=["generate-rate-zero", "generate-rate-nan", "gauspuls-rate-nan",
              "fc-nan", "bwr-nan", "tpr-nan", "period-nan", "amplitude-nan", "build-rate-zero",
              "build-interval-nan", "build-interval-inf", "build-rate-inf", "build-out-checked-first", "duration-nan", "duration-inf",
-             "sample-t0-nan", "sample-seed-negative", "residual-tol-nan"],
+             "sample-t0-nan", "sample-seed-negative", "residual-tol-nan", "experiment-seed-negative",
+             "sweep-seed-too-large"],
     )
     def test_rejected_with_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
         from randsamp.cli import main

@@ -117,6 +117,10 @@ class TestResolvePlan:
             ExperimentConfig(preset="trig", solver="cg")
         with pytest.raises(ValueError, match="unknown matrix method 'sinc'"):
             ExperimentConfig(preset="trig", method="sinc")
+        for seed in (-1, 2**64):  # derive_run_seed would wrap them onto seeds 2**64 - 1 and 0
+            with pytest.raises(ValueError, match=r"^master_seed must be in \[0, 2\*\*64\)"):
+                ExperimentConfig(preset="trig", master_seed=seed)
+        ExperimentConfig(preset="trig", master_seed=2**64 - 1)
 
     @pytest.mark.parametrize(
         "field, value", [("m_samples", 0), ("n_grid", 0), ("n_grid", 1), ("sample_rate", 0.0),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -142,24 +143,91 @@ def atom_cases(draw):
     return np.array(u) * interval, interval, n
 
 
+def exp_table_sensing(times, interval, n):
+    """The sensing matrix of a poisson M0 as formed before it was held in
+    factors: the coarse and fine atom tables as exp of the exactly reduced
+    phases, their products in one M x W table, read in halfcomplex order."""
+    u = np.asarray(times, dtype=float) / interval
+    k = np.round(u)
+    f = u - k
+    k %= n
+    h = n // 2 + 1
+    b = math.isqrt(h - 1) + 1
+
+    def table(j):
+        return np.exp((2j * np.pi / n) * (np.outer(k, j) % n + np.outer(f, j)))
+
+    fine = table(np.arange(b)) / math.sqrt(n)
+    coarse = table(b * np.arange(-(-h // b)))
+    return halfcomplex((coarse[:, :, None] * fine[:, None, :]).reshape(len(u), -1), n)
+
+
 class TestPoissonSensing:
     @given(atom_cases())
     def test_atoms_match_real_fft_of_closed_form(self, case):
         times, interval, n = case
         via_fft = sensing_matrix(build_poisson(times, interval, n))
-        atoms = poisson_sensing(times, interval, n)
+        atoms = np.asarray(poisson_sensing(times, interval, n))
         assert atoms.shape == (len(times), n)
         assert np.max(np.abs(atoms - via_fft)) <= 1e-12
 
     @pytest.mark.parametrize("n", [928, 927])
     def test_both_producers_return_agreeing_views(self, n):
-        # each reads the halfcomplex layout in place from its complex table
+        # sensing_matrix reads the halfcomplex layout in place from its
+        # complex table
         times = np.sort(np.random.default_rng(n).uniform(0.0, float(n), size=93))
-        via_atoms = poisson_sensing(times, 1.0, n)
+        via_atoms = np.asarray(poisson_sensing(times, 1.0, n))
         via_fft = sensing_matrix(build_poisson(times, 1.0, n))
         assert via_atoms.shape == via_fft.shape == (93, n)
-        assert not via_atoms.flags.owndata and not via_fft.flags.owndata
+        assert not via_fft.flags.owndata
         assert np.max(np.abs(via_atoms - via_fft)) <= 2e-16
+
+    @given(atom_cases())
+    def test_dense_form_is_the_one_product_table(self, case):
+        # bit for bit the matrix of the atoms formed as exp of the reduced
+        # phases, coarse times fine in one broadcast product
+        times, interval, n = case
+        assert np.array_equal(np.asarray(poisson_sensing(times, interval, n)), exp_table_sensing(times, interval, n))
+
+    @pytest.mark.parametrize("n", [928, 927, 256, 240, 15])
+    def test_operator_reads_match_its_dense_form(self, n):
+        # correlations and column norms to rounding, every column (DC and,
+        # for even N, Nyquist included) bit for bit
+        rng = np.random.default_rng(n)
+        times = rng.uniform(-float(n), 2.0 * n, size=min(93, n))
+        op = poisson_sensing(times, 1.0, n)
+        dense = np.asarray(op)
+        assert op.shape == dense.shape == (len(times), n)
+        r = rng.standard_normal(len(times))
+        out = np.empty(n)
+        op.correlate(r, out)
+        assert np.max(np.abs(out - r @ dense)) <= 1e-15 * np.abs(r).sum() / math.sqrt(n)
+        sq_norms = np.einsum("ij,ij->j", dense, dense)
+        assert np.max(np.abs(op.sq_norms() - sq_norms)) <= 1e-14 * sq_norms.max()
+        for c in range(n):
+            assert np.array_equal(op.column(c), dense[:, c])
+
+    def test_large_grid_held_in_factors(self):
+        # M = N/10 at N = 2^16, where the dense matrix takes 3.4 GB: the
+        # operator's own arrays stay under 64 MB, and one correlation matches
+        # 50 columns whose atoms are evaluated directly
+        n, m = 2**16, 6554
+        rng = np.random.default_rng(16)
+        u = rng.uniform(0.0, float(n), size=m)
+        op = poisson_sensing(u, 1.0, n)
+        held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray) and v.base is None)
+        assert held < 64e6
+        r = rng.standard_normal(m)
+        out = np.empty(n)
+        op.correlate(r, out)
+        k = np.round(u)
+        f = u - k
+        k = (k % n).astype(np.int64)
+        for c in [0, n - 1, *rng.choice(np.arange(1, n - 1), size=48, replace=False)]:
+            j = (c + 1) // 2
+            atom = np.exp((2j * np.pi / n) * ((j * k) % n + j * f)) / math.sqrt(n)
+            column = atom.imag if c and c % 2 == 0 else atom.real
+            assert abs(out[c] - r @ column) <= 1e-15 * np.abs(r).sum() / math.sqrt(n)
 
     def test_phases_reduced_exactly(self):
         # reference atoms from phases j u mod N taken in exact rational
@@ -169,7 +237,7 @@ class TestPoissonSensing:
         u = np.random.default_rng(41).uniform(-4.0 * n, 6.0 * n, size=12)
         phase = np.array([[float(Fraction(v) * j % n) for j in range(h)] for v in u]) * (2 * np.pi / n)
         ref = halfcomplex(np.cos(phase) + 1j * np.sin(phase), n) / np.sqrt(n)
-        assert np.max(np.abs(poisson_sensing(u, 1.0, n) - ref)) <= 2e-15
+        assert np.max(np.abs(np.asarray(poisson_sensing(u, 1.0, n)) - ref)) <= 2e-15
 
     def test_argument_validation(self):
         for times, interval, n in (([np.nan], 1.0, 8), ([], 1.0, 8), ([0.5], 0.0, 8), ([0.5], 1.0, 1)):

@@ -197,7 +197,7 @@ class TestOmpAgainstReference:
     @staticmethod
     def assert_same(a, y, cfg):
         res = omp_recover(a, y, cfg)
-        support, iterations, recovered, residual = omp_reference(a, y, cfg.max_atoms, cfg.residual_tol)
+        support, iterations, recovered, residual = omp_reference(np.asarray(a), y, cfg.max_atoms, cfg.residual_tol)
         assert res.support == support
         assert res.iterations == iterations
         assert np.linalg.norm(res.recovered - recovered) <= 1e-12 * np.linalg.norm(recovered)
@@ -228,6 +228,22 @@ class TestOmpAgainstReference:
             times = draw_random_times(plan.m_samples, plan.duration, plan.t0, derive_run_seed(cfg.master_seed, run_id))
             a = poisson_sensing(times - plan.t0, plan.interval, plan.n_grid)
             self.assert_same(a, plan.signal(times), plan.omp)
+
+
+@pytest.mark.parametrize("rate", [10e6, 9.99e6])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_omp_on_factors_equals_omp_on_dense_form(seed, rate):
+    # OMP reads a PoissonSensing through its factors; on its dense form it
+    # picks the same support and returns the same signal bit for bit
+    plan = resolve_plan(ExperimentConfig(preset="gauspuls", master_seed=seed, sample_rate=rate))
+    for run_id in range(50):
+        times = draw_random_times(plan.m_samples, plan.duration, plan.t0, derive_run_seed(seed, run_id))
+        op = poisson_sensing(times - plan.t0, plan.interval, plan.n_grid)
+        y = plan.signal(times)
+        factored, dense = omp_recover(op, y, plan.omp), omp_recover(np.asarray(op), y, plan.omp)
+        assert factored.support == dense.support
+        assert np.array_equal(factored.recovered, dense.recovered)
+        assert np.array_equal(factored.residual_history, dense.residual_history)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

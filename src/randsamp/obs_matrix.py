@@ -19,6 +19,11 @@ the entries and the method and P tags only, as the CSV layout does.
                    q N >= 2 max|theta|, are summed as one pair
                    2 theta / (theta^2 - (p N)^2), so the sum takes about P/2
                    reciprocal passes, the near-singular |p| < q terms singly.
+                   The pairs go in blocks of consecutive p, and a large
+                   build sums its two row halves on two threads when two
+                   CPUs are available; each entry takes the same roundings
+                   in the same order either way, so the matrix is bit for
+                   bit the same on any number of CPUs.
 * ``poisson``   -- the exact periodization in closed form: the Dirichlet
                    kernel sin(pi theta) / (N tan(pi theta / N)) for even N,
                    sin(pi theta) / (N sin(pi theta / N)) for odd N, with no
@@ -36,6 +41,8 @@ the entries and the method and P tags only, as the CSV layout does.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +55,20 @@ from .files import csv_text, finite_field, read_rows, write
 SINGULARITY_EPS = 1e-9
 
 METHODS = ("naive", "truncated", "poisson")
+
+# The truncated build's pairs ±p taken per pass, over groups of rows of about
+# _CHUNK entries, whose 1 MB of scratch stays in a 2 MB L2 cache. Fewer p per
+# pass leaves calls too small to hide a worker thread's hand-offs of the
+# interpreter lock; more spends memory for little gain.
+_PAIR_BLOCK = 8
+_CHUNK = 16_384
+# A truncated build sums its two row halves at once on two CPUs when M N is at
+# least _SPLIT_SIZE and the pair work M N (P/2 - q), in divisions, exceeds
+# _SPLIT_WORK. Below either, starting the thread and handing the interpreter
+# lock back and forth cost more than the second CPU saves, as measured on a
+# 2-core x86 host: at M N <= 4 096 two threads ran 1.3-3.1x slower at any P.
+_SPLIT_SIZE = 8_192
+_SPLIT_WORK = 1_000_000
 
 
 @dataclass
@@ -111,8 +132,8 @@ def _check_args(times, interval: float, n_grid: int) -> np.ndarray:
         raise ValueError("times must be finite")
     if not 0.0 < interval < math.inf:
         raise ValueError(f"interval must be positive and finite, got {interval}")
-    if n_grid < 2:
-        raise ValueError("n_grid must be at least 2")
+    if not isinstance(n_grid, (int, np.integer)) or n_grid < 2:
+        raise ValueError(f"n_grid must be an integer >= 2, got {n_grid}")
     with np.errstate(over="ignore"):
         u = times / interval
     if not np.all(np.isfinite(u)):
@@ -120,8 +141,13 @@ def _check_args(times, interval: float, n_grid: int) -> np.ndarray:
     return u
 
 
+def _theta(u, n_grid: int, out=None) -> np.ndarray:
+    """The kernel arguments theta = u_m - n for the times u in grid units."""
+    return np.subtract(u[:, None], np.arange(n_grid)[None, :], out=out)
+
+
 def _kernel_args(times, interval: float, n_grid: int) -> np.ndarray:
-    return _check_args(times, interval, n_grid)[:, None] - np.arange(n_grid)[None, :]
+    return _theta(_check_args(times, interval, n_grid), n_grid)
 
 
 def build_naive(times, interval: float, n_grid: int) -> ObservationMatrix:
@@ -133,6 +159,61 @@ def check_p_terms(p_terms) -> None:
     """Reject a truncation length that is not an even integer >= 2."""
     if p_terms < 2 or p_terms % 2 != 0:
         raise ValueError(f"p_terms must be an even integer >= 2, got {p_terms}")
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scratch(rows: int, n_grid: int, q: int, half: int) -> np.ndarray:
+    """The scratch of :func:`_sum_rows` for a part of the given rows."""
+    return np.empty((max(1, min(_PAIR_BLOCK, half - q)), min(rows, max(1, _CHUNK // n_grid)) * n_grid))
+
+
+def _sum_rows(u, theta, out, block, n_grid: int, q: int, half: int) -> None:
+    """Write the truncated sum for the rows u (grid units) into out, before
+    its sine factor: 2 theta sum_{p=q}^{P/2-1} (-1)^(p N) / (theta^2 - (p N)^2)
+    plus the terms |p| < q and p = P/2 singly, in that order. theta holds the
+    rows' kernel arguments, which hold their squares while the pairs are
+    summed, and block is their _scratch. The rows go in groups of about
+    _CHUNK entries, whose scratch stays in cache, and the pairs _PAIR_BLOCK
+    consecutive p at a time: one subtraction, one division of the signs
+    (-1)^(p N), the running sum added to the first term, and one reduce that
+    adds the terms in order. So every entry takes the roundings of adding the
+    terms one by one, as the sign's division is exact and a - b == a + (-b).
+    """
+    step = block.shape[1] // n_grid
+
+    def signs(ps):
+        return np.array([-1.0 if n_grid % 2 and p % 2 else 1.0 for p in ps])
+
+    singles = [p for p in range(-half + 1, half + 1) if abs(p) < q or p == half]
+    # errstate is per thread: a worker thread starts at numpy's defaults
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, len(u), step):
+            rows = slice(lo, lo + step)
+            th, acc = theta[rows].reshape(-1), out[rows].reshape(-1)
+            acc.fill(0.0)
+            if q < half:
+                sq = np.multiply(th, th, out=th)[None, :]
+                for first in range(q, half, _PAIR_BLOCK):
+                    ps = range(first, min(first + _PAIR_BLOCK, half))
+                    terms = block[: len(ps), : acc.size]
+                    np.subtract(sq, np.array([float(p * n_grid) ** 2 for p in ps])[:, None], out=terms)
+                    np.divide(signs(ps)[:, None], terms, out=terms)
+                    np.add(acc, terms[0], out=terms[0])
+                    np.add.reduce(terms, axis=0, out=acc)
+                _theta(u[rows], n_grid, out=theta[rows])
+            acc *= th
+            acc *= 2.0
+            buf = block[0, : acc.size]
+            for p, sign in zip(singles, signs(singles)):
+                np.add(th, p * n_grid, out=buf)
+                np.divide(sign, buf, out=buf)
+                acc += buf
 
 
 def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> ObservationMatrix:
@@ -147,46 +228,60 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
     build. There |theta^2 - (p N)^2| >= (3/4) (p N)^2, so the subtraction
     loses nothing, and a pair costs one reciprocal pass where two terms cost
     two; theta^2 is formed once, and the pair sum is scaled by 2 theta once.
-    The near-singular terms |p| < q and the unpaired p = P/2 are summed
-    singly. The sine is taken of the exactly reduced argument
-    r = theta - round(theta), so entries near a grid hit keep full accuracy.
-    Exact hits (r == 0, or r subnormal, where 1 / r overflows) get the limit
-    of the sum: 1 where theta + p N == 0 for a p in the window, else 0.
+    The pairs are summed in blocks of consecutive p, each block's terms
+    added to the running sum in order. The near-singular terms |p| < q and
+    the unpaired p = P/2 are summed singly. When two CPUs are available, M N
+    is at least _SPLIT_SIZE and the pair work M N (P/2 - q) exceeds
+    _SPLIT_WORK, the two halves of the rows are summed at once, the second in
+    a worker thread whose exception is raised here. Each entry takes the same
+    operations in the same order either way, so the matrix is bit for bit
+    the same on any number of CPUs. The sine is taken of the exactly
+    reduced argument r = theta - round(theta), so entries near a grid hit keep
+    full accuracy. Exact hits (r == 0, or r subnormal, where 1 / r overflows)
+    get the limit of the sum: 1 where theta + p N == 0 for a p in the window,
+    else 0.
     """
     check_p_terms(p_terms)
-    theta = _kernel_args(times, interval, n_grid)
+    u = _check_args(times, interval, n_grid)
+    theta = _theta(u, n_grid)
     half = p_terms // 2
+    q = max(1, math.ceil(2.0 * max(theta.max(), -theta.min()) / n_grid))
+    m = split = len(u)
+    if m > 1 and theta.size >= _SPLIT_SIZE and theta.size * (half - q) > _SPLIT_WORK and _cpu_count() > 1:
+        split = m // 2
+    # The scratch is made in this thread, whose heap gives it back when freed
+    # (a worker's own heap would keep it resident), and before entries, so
+    # freeing it leaves a hole that the sine's arrays refill rather than a
+    # heap top that glibc trims and then faults back in.
+    scratch = [_scratch(rows, n_grid, q, half) for rows in (split, m - split) if rows]
+    entries = np.empty_like(theta)
+    worker, errors = None, []
+    if split < m:
+
+        def second_half(block):
+            try:
+                _sum_rows(u[split:], theta[split:], entries[split:], block, n_grid, q, half)
+            except BaseException as exc:  # re-raised in the caller below
+                errors.append(exc)
+
+        worker = threading.Thread(target=second_half, args=(scratch.pop(),))
+        worker.start()
+    try:
+        _sum_rows(u[:split], theta[:split], entries[:split], scratch[0], n_grid, q, half)
+    finally:
+        if worker is not None:
+            worker.join()
+    if errors:
+        raise errors[0]
+    del scratch  # the worker's went with its thread's arguments
     k = np.round(theta)
     r = theta - k
     sine = np.sin(np.pi * r)
     sine[k % 2 != 0] *= -1.0  # sin(pi theta) = (-1)^k sin(pi r)
     hit = np.abs(r) < np.finfo(float).tiny
     k_hit = k[hit]
-    q = max(1, math.ceil(2.0 * max(theta.max(), -theta.min()) / n_grid))
-    # k and r are spent: k now holds theta^2 and r the running sum.
-    acc = r
-    acc.fill(0.0)
-    buf = np.empty_like(theta)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # theta^2 overflows only past |theta| ~ 1e154, where q >= P/2 leaves it unread
-        sq = np.multiply(theta, theta, out=k)
-        for p in range(q, half):
-            np.subtract(sq, float(p * n_grid) ** 2, out=buf)
-            np.reciprocal(buf, out=buf)
-            if n_grid % 2 and p % 2:
-                acc -= buf
-            else:
-                acc += buf
-        acc *= theta
-        acc *= 2.0
-        for p in [p for p in range(-half + 1, half + 1) if abs(p) < q or p == half]:
-            np.add(theta, p * n_grid, out=buf)
-            np.reciprocal(buf, out=buf)
-            if n_grid % 2 and p % 2:
-                acc -= buf
-            else:
-                acc += buf
-        entries = np.multiply(acc, sine, out=acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries *= sine
         entries /= np.pi
     p_hit = -k_hit / n_grid
     entries[hit] = (k_hit % n_grid == 0) & (p_hit > -half) & (p_hit <= half)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from randsamp import obs_matrix
 from randsamp.obs_matrix import (
     ObservationMatrix,
     build,
@@ -16,6 +17,7 @@ from randsamp.obs_matrix import (
     save_matrix_csv,
 )
 from randsamp.signals import TrigSignal, uniform_samples
+from truncated_reference import truncated_reference
 
 # Golden values computed beforehand with the brute-force periodization
 # sum_{|p| <= 1e6} sinc(theta + p*n), summed in symmetric pairs so the tail
@@ -201,8 +203,19 @@ class TestBuilders:
         with pytest.raises(ValueError, match="times / interval must be finite"):
             build(method, np.array([0.5]), 1e-320, 8, p_terms=20)
 
+    @pytest.mark.parametrize("method", ["naive", "truncated", "poisson"])
+    def test_grid_length_must_be_an_integer(self, method):
+        # np.arange(8.5) has 9 entries, so a fractional N once gave a 2 x 9
+        # matrix, the truncated one summing repeats p * 8.5 apart.
+        times = np.array([0.5, 1.5])
+        for bad in (8.5, 8.0, 1):
+            with pytest.raises(ValueError, match=f"n_grid must be an integer >= 2, got {bad}"):
+                build(method, times, 1.0, bad, p_terms=20)
+        assert build(method, times, 1.0, np.int64(8), p_terms=20).entries.shape == (2, 8)
+
     def test_truncated_far_from_grid_is_quiet(self):
-        # theta^2 overflows there, but the paired sum never reads it
+        # theta^2 would overflow there, but with q >= P/2 there are no pairs
+        # and it is never formed
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             m0 = build_truncated(np.array([1e200]), 1.0, 8, 20)
@@ -251,6 +264,76 @@ class TestTruncatedAgainstSincSum:
         entries = build_truncated(times, 1.0, n, p_terms).entries
         assert np.all(np.isfinite(entries))
         assert np.max(np.abs(entries - sinc_sum(times, n, p_terms))) <= 1e-12
+
+
+def split_times(m, n, seed):
+    """m times across [-n, 2n): a third exact grid hits, a third within 1e-9
+    of one, so both the paired and the single terms meet near-poles."""
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(-n, 2.0 * n, m)
+    times[::3] = np.round(times[::3])
+    times[1::3] = np.round(times[1::3]) + rng.uniform(-1e-9, 1e-9, len(times[1::3]))
+    return times
+
+
+class TestSplitBuild:
+    """build_truncated sums the two row halves on two threads when two CPUs
+    are available and the build is large enough; the bits must not depend on
+    it. Each case here is large enough to split."""
+
+    @pytest.fixture
+    def parts(self, monkeypatch):
+        """The row counts of the parts each build summed."""
+        seen = []
+        real = obs_matrix._sum_rows
+
+        def counted(u, *rest):
+            seen.append(len(u))
+            real(u, *rest)
+
+        monkeypatch.setattr(obs_matrix, "_sum_rows", counted)
+        return seen
+
+    @pytest.mark.parametrize("m, n, p_terms", [(64, 256, 200), (64, 256, 2000), (64, 255, 200),
+                                               (64, 255, 2000), (93, 928, 200)])
+    def test_matches_serial_reference_on_any_cpu_count(self, monkeypatch, parts, m, n, p_terms):
+        times = split_times(m, n, seed=m + n + p_terms)
+        expected = truncated_reference(times, n, p_terms)
+        for cpus, halves in ((1, [m]), (2, [m // 2, m - m // 2])):
+            monkeypatch.setattr(obs_matrix, "_cpu_count", lambda: cpus)
+            parts.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                entries = build_truncated(times, 1.0, n, p_terms).entries
+            assert sorted(parts) == sorted(halves)
+            assert entries.tobytes() == expected.tobytes()
+
+    def test_far_from_grid_is_quiet_in_both_threads(self, monkeypatch, parts):
+        # Every repeat is near-singular there (q >= P/2), so such a build
+        # has no pairs to split, and the split is forced. Each part sums its
+        # single terms quietly, and every entry is an exact hit outside the
+        # window.
+        monkeypatch.setattr(obs_matrix, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(obs_matrix, "_SPLIT_WORK", -math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m0 = build_truncated(np.full(64, 1e200), 1.0, 256, 20)
+        assert parts == [32, 32]
+        assert np.array_equal(m0.entries, np.zeros((64, 256)))
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        times = split_times(64, 256, seed=1)
+        real = obs_matrix._sum_rows
+
+        def fails_on_second_half(u, *rest):
+            if u[0] == times[32]:
+                raise MemoryError("second half")
+            real(u, *rest)
+
+        monkeypatch.setattr(obs_matrix, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(obs_matrix, "_sum_rows", fails_on_second_half)
+        with pytest.raises(MemoryError, match="second half"):
+            build_truncated(times, 1.0, 256, 2000)
 
 
 @st.composite

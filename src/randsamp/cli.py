@@ -15,7 +15,6 @@ inside it.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -155,9 +154,8 @@ def _write_table(args, out: Path | None, header: str, rows, doc: dict) -> int:
 
 
 def _interval(rate: float) -> float:
-    """The grid interval 1/rate of a --rate in Hz."""
-    if not 0.0 < rate < math.inf:
-        raise UsageError(f"--rate must be positive and finite, got {rate}")
+    """The grid interval 1/rate of a --rate in Hz, which must be positive and finite."""
+    files.check_positive("--rate", rate)
     return 1.0 / rate
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .files import csv_text, json_text
+from .files import check_choice, check_count, check_positive, csv_text, json_text
 from .fourier import poisson_sensing, sensing_matrix
 from .obs_matrix import METHODS, build, check_p_terms
 from .signals import (
@@ -45,7 +45,7 @@ SWEEP_CSV_HEADER = "method,P,mean_error,mean_build_time_s,mean_solve_time_s"
 def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Independent 64-bit stream seed for one run: the SplitMix64 finalizer
     applied to master_seed + (run_index + 1) * golden-ratio increment."""
-    z = (master_seed + (run_index + 1) * _GOLDEN) & _MASK64
+    z = (int(master_seed) + (run_index + 1) * _GOLDEN) & _MASK64  # a numpy integer would overflow
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
     z ^= z >> 27
@@ -55,11 +55,11 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
 
 
 def relative_l2_error(x_rec, x_ref) -> float:
-    """||x_rec - x_ref||_2 / ||x_ref||_2."""
+    """||x_rec - x_ref||_2 / ||x_ref||_2, for arrays of one shape."""
     x_rec = np.asarray(x_rec, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
     if x_rec.shape != x_ref.shape:
-        raise ValueError("vectors must have equal length")
+        raise ValueError(f"x_rec and x_ref must have one shape, got {x_rec.shape} and {x_ref.shape}")
     ref_norm = float(np.linalg.norm(x_ref))
     if ref_norm == 0.0:
         raise ValueError("reference vector has zero norm; relative error undefined")
@@ -72,7 +72,11 @@ class ExperimentConfig:
 
     :func:`resolve_plan` gives each preset's M (m_samples), N (n_grid), grid
     rate (sample_rate) and solver; ``randsamp experiment --help`` lists them.
-    Any of the optional fields override the preset's value.
+    Any of the optional fields override the preset's value. The counts
+    (p_terms, runs, master_seed, m_samples, n_grid) are ints or numpy
+    integers, sample_rate is positive and finite, and preset, method and
+    solver name one of PRESETS, METHODS and SOLVERS; another value raises
+    ValueError naming the field.
     """
 
     preset: str
@@ -88,26 +92,22 @@ class ExperimentConfig:
     tv: TvConfig | None = None
 
     def __post_init__(self):
-        if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown matrix method {self.method!r}")
+        check_choice("preset", self.preset, PRESETS)
+        check_choice("matrix method", self.method, METHODS)
         if self.method == "truncated":  # the other methods ignore p_terms
-            if self.p_terms is None:
-                raise ValueError("truncated method needs p_terms")
             check_p_terms(self.p_terms)
-        if self.solver is not None and self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if not 0 <= self.master_seed <= _MASK64:  # derive_run_seed would wrap it modulo 2**64
+        if self.solver is not None:
+            check_choice("solver", self.solver, SOLVERS)
+        check_count("runs", self.runs, 1)
+        check_count("master_seed", self.master_seed, 0)
+        if self.master_seed > _MASK64:  # derive_run_seed would wrap it modulo 2**64
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
-        if self.m_samples is not None and self.m_samples < 1:
-            raise ValueError(f"m_samples must be at least 1, got {self.m_samples}")
-        if self.n_grid is not None and self.n_grid < 2:
-            raise ValueError(f"n_grid must be at least 2, got {self.n_grid}")
-        if self.sample_rate is not None and not 0.0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
+        if self.m_samples is not None:
+            check_count("m_samples", self.m_samples, 1)
+        if self.n_grid is not None:
+            check_count("n_grid", self.n_grid, 2)
+        if self.sample_rate is not None:
+            check_positive("sample_rate", self.sample_rate)
 
 
 # Solver settings used by the presets. The trig preset takes OmpConfig's

@@ -1,9 +1,10 @@
-"""How randsamp reads and writes its text files.
+"""How randsamp reads and writes its text files, and checks its arguments.
 
 Every file is UTF-8; a leading byte-order mark is accepted on input. A file
 that cannot be opened or decoded, and a field that is not a finite number,
 raise ValueError naming the file (and the line), which the CLI reports as a
-usage error.
+usage error. So does an argument that breaks the rule of its kind (a count, a
+positive real or a choice), naming the parameter and the value.
 """
 
 from __future__ import annotations
@@ -15,6 +16,24 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+
+def check_count(name: str, value, least: int, even: bool = False) -> None:
+    """Require an int or numpy integer >= least, and even if even; a bool or any float, 4.0 too, fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least or even and value % 2:
+        raise ValueError(f"{name} must be {'an even' if even else 'an'} integer >= {least}, got {value}")
+
+
+def check_positive(name: str, value) -> None:
+    """Reject a real that is not positive and finite (NaN included)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_choice(what: str, value, choices: tuple) -> None:
+    """Reject a name that is not one of choices; what says what it names."""
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
 
 
 def read_lines(path) -> list[tuple[int, str]]:
@@ -50,9 +69,10 @@ def csv_text(header: str, rows) -> str:
 
 
 def json_text(doc) -> str:
-    """doc as strict JSON with sorted keys and a trailing newline; a NaN or
-    infinite float raises ValueError instead of being written."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """doc as strict JSON with sorted keys and a trailing newline; a numpy
+    integer is written as an integer, and a NaN or infinite float raises
+    ValueError instead of being written."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=int) + "\n"
 
 
 def finite_field(path, line_no: int, name: str, text: str) -> float:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import csv_text, finite_field, read_rows, write
+from .files import check_choice, check_count, check_positive, csv_text, finite_field, read_rows, write
 
 # Distance from the nearest multiple of N below which the closed-form kernel
 # switches to its removable-singularity limit (exactly 1 for either parity of N).
@@ -73,7 +73,9 @@ _SPLIT_WORK = 1_000_000
 
 @dataclass
 class ObservationMatrix:
-    """Dense M x N interpolation matrix tagged with how it was built."""
+    """Dense M x N interpolation matrix tagged with how it was built: method
+    is one of METHODS, and p_terms an even integer >= 2 for ``truncated``
+    and None for the other methods."""
 
     entries: np.ndarray
     method: str
@@ -81,8 +83,7 @@ class ObservationMatrix:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
-        if self.method not in METHODS:
-            raise ValueError(f"unknown construction method {self.method!r}")
+        _check_tags(self.method, self.p_terms)
         if self.entries.ndim != 2 or self.entries.size == 0:
             raise ValueError(f"entries must be a nonempty 2-D array, got shape {self.entries.shape}")
         if self.m > self.n_grid:
@@ -109,10 +110,9 @@ def periodized_sinc(theta, n_grid: int):
     ~1e-5 at n_grid ~ 1000 in the unreduced argument). Within
     SINGULARITY_EPS of a multiple of n_grid the removable singularity is
     replaced by its limit, which is 1 for either parity. Accepts scalars or
-    arrays.
+    arrays; n_grid must be an int or numpy integer.
     """
-    if n_grid < 2:
-        raise ValueError("n_grid must be at least 2")
+    check_count("n_grid", n_grid, 2)
     th = np.asarray(theta, dtype=float)
     delta = th - n_grid * np.round(th / n_grid)
     near = np.abs(delta) < SINGULARITY_EPS
@@ -124,16 +124,15 @@ def periodized_sinc(theta, n_grid: int):
 
 
 def _check_args(times, interval: float, n_grid: int) -> np.ndarray:
-    """Check the builder arguments and return the times in grid units, t / T."""
+    """Check the builder arguments, an interval that is positive and finite
+    and an integer n_grid >= 2, and return the times in grid units, t / T."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a nonempty 1-D array")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    if not 0.0 < interval < math.inf:
-        raise ValueError(f"interval must be positive and finite, got {interval}")
-    if not isinstance(n_grid, (int, np.integer)) or n_grid < 2:
-        raise ValueError(f"n_grid must be an integer >= 2, got {n_grid}")
+    check_positive("interval", interval)
+    check_count("n_grid", n_grid, 2)
     with np.errstate(over="ignore"):
         u = times / interval
     if not np.all(np.isfinite(u)):
@@ -156,9 +155,19 @@ def build_naive(times, interval: float, n_grid: int) -> ObservationMatrix:
 
 
 def check_p_terms(p_terms) -> None:
-    """Reject a truncation length that is not an even integer >= 2."""
-    if p_terms < 2 or p_terms % 2 != 0:
-        raise ValueError(f"p_terms must be an even integer >= 2, got {p_terms}")
+    """Reject a truncation length that is missing or not an even integer >= 2."""
+    if p_terms is None:
+        raise ValueError("truncated method needs p_terms")
+    check_count("p_terms", p_terms, 2, even=True)
+
+
+def _check_tags(method: str, p_terms) -> None:
+    """The rule of the tags: a truncated matrix has an even P >= 2, any other none."""
+    check_choice("construction method", method, METHODS)
+    if method == "truncated":
+        check_p_terms(p_terms)
+    elif p_terms is not None:
+        raise ValueError(f"only the truncated method takes p_terms, got {p_terms} for {method!r}")
 
 
 def _cpu_count() -> int:
@@ -239,7 +248,7 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
     reduced argument r = theta - round(theta), so entries near a grid hit keep
     full accuracy. Exact hits (r == 0, or r subnormal, where 1 / r overflows)
     get the limit of the sum: 1 where theta + p N == 0 for a p in the window,
-    else 0.
+    else 0. p_terms must be an even int or numpy integer >= 2.
     """
     check_p_terms(p_terms)
     u = _check_args(times, interval, n_grid)
@@ -341,19 +350,15 @@ def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
 
 
 def build(method: str, times, interval: float, n_grid: int, p_terms: int | None = None) -> ObservationMatrix:
-    """Build the matrix named by method (one of METHODS).
+    """Build the matrix named by method (one of METHODS; another name
+    raises ValueError listing them).
 
     p_terms is required by ``truncated`` and ignored by the other methods.
     """
-    if method == "naive":
-        return build_naive(times, interval, n_grid)
+    check_choice("construction method", method, METHODS)
     if method == "truncated":
-        if p_terms is None:
-            raise ValueError("truncated method needs p_terms")
         return build_truncated(times, interval, n_grid, p_terms)
-    if method == "poisson":
-        return build_poisson(times, interval, n_grid)
-    raise ValueError(f"unknown construction method {method!r}")
+    return (build_naive if method == "naive" else build_poisson)(times, interval, n_grid)
 
 
 def save_matrix_csv(matrix: ObservationMatrix, path) -> None:
@@ -374,7 +379,8 @@ def load_matrix_csv(path) -> ObservationMatrix:
     The layout stores the entries and the method and P tags, which is all an
     ObservationMatrix holds. A file that breaks the layout raises ValueError
     naming the file and, where there is one, the line; so does a file that
-    cannot be opened or decoded.
+    cannot be opened or decoded, and line 2 whose P breaks the rule of the
+    tags (see :class:`ObservationMatrix`).
     """
     rows = read_rows(path)
     if not rows or rows[0][1] != ["M", "N", "method", "P"]:
@@ -391,8 +397,12 @@ def load_matrix_csv(path) -> ObservationMatrix:
         p = int(p_str) if p_str else None
     except ValueError:
         raise ValueError(f"{path}: line {no}: M, N and P must be integers, got {meta!r}") from None
-    if m < 1 or n < 1 or method not in METHODS:
-        raise ValueError(f"{path}: line {no}: expected M, N >= 1 and a method in {METHODS}, got {meta!r}")
+    try:
+        check_count("M", m, 1)
+        check_count("N", n, 1)
+        _check_tags(method, p)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {no}: {exc}") from None
     body = rows[2:]
     if len(body) != m:
         # the first row past M, or the file's last line when rows are missing

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import check_count, check_positive
+
 TWO_PI = 2.0 * np.pi
 # Largest grid GaussPulseSignal.grid_points will size: 1 GiB of float64.
 MAX_GRID_POINTS = 2**27
@@ -42,8 +44,9 @@ class TrigSignal:
     def __post_init__(self):
         if len(self.sin_amps) != len(self.sin_freqs) or len(self.cos_amps) != len(self.cos_freqs):
             raise ValueError("amplitude and frequency tuples must have matching lengths")
-        if not all(0.0 < f < math.inf for f in self.sin_freqs + self.cos_freqs):
-            raise ValueError(f"all frequencies must be positive and finite, got {self.sin_freqs + self.cos_freqs}")
+        for name in ("sin_freqs", "cos_freqs"):
+            for f in getattr(self, name):
+                check_positive(name, f)
         if not all(math.isfinite(a) for a in self.sin_amps + self.cos_amps):
             raise ValueError(f"all amplitudes must be finite, got {self.sin_amps + self.cos_amps}")
 
@@ -78,8 +81,7 @@ class GaussPulseSignal:
     tpr_db: float = -60.0
 
     def __post_init__(self):
-        if not 0.0 < self.center_freq < math.inf:
-            raise ValueError(f"center_freq must be positive and finite, got {self.center_freq}")
+        check_positive("center_freq", self.center_freq)
         if not 0.0 < self.bandwidth < 2.0:
             raise ValueError("bandwidth must lie in (0, 2)")
         if not (-math.inf < self.bwr_db < 0.0 and -math.inf < self.tpr_db < 0.0):
@@ -118,8 +120,7 @@ class GaussPulseSignal:
         Raises ValueError, before anything is allocated, when that count N
         exceeds MAX_GRID_POINTS (2**27, a 1 GiB float64 grid).
         """
-        if not 0.0 < sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
+        check_positive("sample_rate", sample_rate)
         span = 2.0 * self.cutoff_time * sample_rate
         if not math.isfinite(span):
             raise ValueError(f"cutoff_time {self.cutoff_time} s at sample_rate {sample_rate} Hz gives no finite grid")
@@ -155,8 +156,7 @@ class SquareSignal:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.period < math.inf:
-            raise ValueError(f"period must be positive and finite, got {self.period}")
+        check_positive("period", self.period)
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must lie strictly between 0 and 1")
         if not math.isfinite(self.amplitude):
@@ -221,8 +221,7 @@ class RandomSampleSet:
 
 
 def _check_grid(interval: float, origin: float) -> None:
-    if not 0.0 < interval < math.inf:
-        raise ValueError(f"interval must be positive and finite, got {interval}")
+    check_positive("interval", interval)
     if not math.isfinite(origin):
         raise ValueError(f"grid origin must be finite, got {origin}")
 
@@ -234,9 +233,9 @@ def grid_origin(signal) -> float:
 
 
 def uniform_samples(signal, n: int, interval: float, t0: float = 0.0) -> UniformSignal:
-    """Evaluate ``signal`` on the n-point grid t0 + k*interval, k = 0..n-1."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    """Evaluate ``signal`` on the n-point grid t0 + k*interval, k = 0..n-1,
+    for an int or numpy integer n >= 2 and a positive, finite interval."""
+    check_count("n", n, 2)
     _check_grid(interval, t0)
     times = t0 + np.arange(n) * interval
     return UniformSignal(values=signal(times), interval=interval, origin=t0)
@@ -249,16 +248,14 @@ def draw_random_times(m: int, duration: float, t0: float = 0.0, seed: int = 0) -
     floating-point possibility) trigger a redraw of the whole set, so the
     result is strictly increasing while staying i.i.d. uniform. After
     MAX_TIME_DRAWS draws with a coincidence, ValueError is raised: the window
-    then holds too few doubles for m distinct times.
+    then holds too few doubles for m distinct times. m (>= 1) and seed
+    (>= 0) are ints or numpy integers, and duration is positive and finite.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not 0.0 < duration < math.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration}")
+    check_count("m", m, 1)
+    check_positive("duration", duration)
     if not math.isfinite(t0 + duration):
         raise ValueError(f"t0 and t0 + duration must be finite, got t0={t0}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TIME_DRAWS):
         times = np.sort(rng.uniform(t0, t0 + duration, size=m))

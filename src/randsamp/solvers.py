@@ -31,6 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .files import check_choice, check_count, check_positive
 from .fourier import PoissonSensing
 
 SOLVERS = ("omp", "tv")
@@ -62,9 +63,9 @@ class NonConvergenceError(RecoveryError, RuntimeError):
 class OmpConfig:
     """Stopping rule for orthogonal matching pursuit.
 
-    max_atoms: largest support size, in DFT bins, before stopping; a
-        frequency adds its bins j and N-j (DC and Nyquist add one), so the
-        final support can exceed it by one bin.
+    max_atoms: largest support size, in DFT bins, before stopping, an int
+        or numpy integer >= 1; a frequency adds its bins j and N-j (DC and
+        Nyquist add one), so the final support can exceed it by one bin.
     residual_tol: stop once ||residual|| <= residual_tol * ||y||.
     """
 
@@ -72,8 +73,7 @@ class OmpConfig:
     residual_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_atoms < 1:
-            raise ValueError("max_atoms must be at least 1")
+        check_count("max_atoms", self.max_atoms, 1)
         if not 0.0 <= self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be nonnegative and finite, got {self.residual_tol}")
 
@@ -99,10 +99,11 @@ TV_STEP_ALPHA = 1.99
 class TvConfig:
     """Settings of the smoothed total-variation descent.
 
-    lam = None uses the data-scaled default 1e-2 * ||y||_2. The descent
-    stops after max_iters steps, or earlier once ||grad J|| <= grad_tol. The
-    step is not a setting: :func:`tv_recover` works it out from M0, lam and
-    the smoothing epsilon, which like grad_tol is a constant.
+    lam is positive and finite, or None for the data-scaled default
+    1e-2 * ||y||_2. The descent stops after max_iters steps (an int or numpy
+    integer >= 1), or earlier once ||grad J|| <= grad_tol. The step is not
+    a setting: :func:`tv_recover` works it out from M0, lam and the
+    smoothing epsilon, which like grad_tol is a constant.
     """
 
     epsilon: ClassVar[float] = 1e-3
@@ -124,10 +125,9 @@ class TvConfig:
     max_iters: int = 6_000
 
     def __post_init__(self):
-        if self.lam is not None and not 0.0 < self.lam < math.inf:
-            raise ValueError("lam must be positive and finite (or None for the data-scaled default)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if self.lam is not None:
+            check_positive("lam", self.lam)
+        check_count("max_iters", self.max_iters, 1)
 
 
 @dataclass
@@ -150,11 +150,18 @@ class RecoveryResult:
     objective_history: np.ndarray | None = None
 
 
+def _matrix(name: str, a: np.ndarray) -> np.ndarray:
+    """a, checked to be 2-D."""
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D M x N matrix, got shape {a.shape}")
+    return a
+
+
 def _measurements(y, m: int) -> np.ndarray:
     """y as a float array, checked to hold M finite values."""
     y = np.asarray(y, dtype=float)
-    if len(y) != m:
-        raise ValueError("measurement length does not match matrix rows")
+    if y.shape != (m,):
+        raise ValueError(f"y must hold the M={m} measurements, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("measurements must be finite")
     return y
@@ -199,7 +206,8 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     column whose orthogonal remainder is at most M * eps * max_j ||a[:, j]||,
     the rounding floor of a, raises SingularSystemError at that iteration.
     The spectrum is Hermitian by construction, and the time-domain output is
-    its inverse real FFT.
+    its inverse real FFT. An array that is not 2-D, a y of other than M
+    values, or a cfg.max_atoms above N raises ValueError giving the sizes.
     """
     if isinstance(sensing, PoissonSensing):
         a = sensing
@@ -207,11 +215,11 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
         a = np.asarray(sensing)
         if np.iscomplexobj(a):
             raise ValueError("sensing matrix must be real, with Re a_j and Im a_j in separate columns")
-        a = _DenseSensing(a)
+        a = _DenseSensing(_matrix("sensing", a))
     y = _measurements(y, a.shape[0])
     m, n = a.shape
     if cfg.max_atoms > n:
-        raise ValueError("max_atoms cannot exceed the number of columns")
+        raise ValueError(f"max_atoms={cfg.max_atoms} exceeds the N={n} columns")
     h = n // 2 + 1
     self_paired = [0] if n % 2 else [0, n // 2]  # bins that are their own partner
 
@@ -325,7 +333,8 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     steps or when ||grad J|| <= grad_tol, where epsilon and grad_tol are the
     constants TvConfig.epsilon and TvConfig.grad_tol. The history holds J
     at the start and after each step, so its last entry is J at the
-    returned x. A non-finite y, M0 entry or x_init raises ValueError.
+    returned x. An M0 that is not 2-D, or a y or x_init that is not M or N
+    finite values, or a non-finite M0 entry, raises ValueError.
 
     M0 is copied once into a 64-byte-aligned buffer, so the speed of its
     BLAS products does not depend on where the heap placed the caller's
@@ -338,14 +347,14 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     those of evaluating J and its gradient afresh at every iterate, in the
     same order, so the iterates are those of that loop bit for bit.
     """
-    a = _aligned_copy(np.asarray(getattr(m0, "entries", m0), dtype=float))
+    a = _aligned_copy(_matrix("m0", np.asarray(getattr(m0, "entries", m0), dtype=float)))
     if not np.isfinite(a).all():
         raise ValueError("m0 entries must be finite")
     y = _measurements(y, a.shape[0])
     m, n = a.shape
     x = a.T @ y if x_init is None else np.array(x_init, dtype=float)
-    if len(x) != n:
-        raise ValueError("x_init length does not match matrix columns")
+    if x.shape != (n,):
+        raise ValueError(f"x_init must hold the N={n} grid values, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x_init must be finite")
 
@@ -399,8 +408,8 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
 def solve(solver: str, sensing, m0, y, omp: OmpConfig, tv: TvConfig) -> RecoveryResult:
     """:func:`omp_recover` on the sensing matrix; for solver "tv", then
     :func:`tv_recover` on m0 started from the OMP reconstruction, which pins
-    the transitions so the descent only flattens the ripples between them."""
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    the transitions so the descent only flattens the ripples between them.
+    solver is one of SOLVERS; another name raises ValueError listing them."""
+    check_choice("solver", solver, SOLVERS)
     result = omp_recover(sensing, y, omp)
     return tv_recover(m0, y, tv, x_init=result.recovered) if solver == "tv" else result

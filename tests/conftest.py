@@ -12,11 +12,13 @@ if str(SRC) not in sys.path:
 
 @pytest.fixture
 def run_cli(tmp_path):
-    """Run the CLI in a subprocess with cwd at a temp dir."""
+    """Run the CLI in a subprocess with cwd at a temp dir. A numpy
+    RuntimeWarning fails it, unless PYTHONWARNINGS is set otherwise."""
 
     def _run(*args, env_extra=None):
         env = os.environ.copy()
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        env.setdefault("PYTHONWARNINGS", "error::RuntimeWarning")
         if env_extra:
             env.update(env_extra)
         return subprocess.run(

@@ -564,11 +564,11 @@ class TestNumericFlags:
             (["sample", "--signal", "trig", "--m", "4", "--duration", "1", "--t0", "nan"],
              "t0 and t0 + duration must be finite"),
             (["sample", "--signal", "trig", "--m", "4", "--duration", "1", "--seed", "-1"],
-             "seed must be nonnegative, got -1"),
+             "seed must be an integer >= 0, got -1"),
             (["experiment", "--preset", "trig", "--runs", "1", "--residual-tol", "nan"],
              "residual_tol must be nonnegative and finite"),
             (["experiment", "--preset", "trig", "--runs", "1", "--seed", "-1"],
-             "master_seed must be in [0, 2**64), got -1"),
+             "master_seed must be an integer >= 0, got -1"),
             (["sweep-p", "--p-list", "2", "--runs", "1", "--seed", str(2**64)],
              f"master_seed must be in [0, 2**64), got {2**64}"),
         ],

@@ -104,6 +104,8 @@ CASES = {
         "build-matrix --times s.csv --rate 800 --n 256 --out m.csv",
         "recover --matrix m.csv --measurements s.csv --max-atoms 16 --residual-tol 0",
     ],
+    # A matrix CSV whose P breaks the layout's rule is refused with its line.
+    "recover_odd_p_terms": ["recover --matrix m.csv --measurements s.csv"],
     "usage_generate_needs_n": ["generate --signal trig --rate 800"],
     "usage_build_matrix_needs_out": ["build-matrix --times s.csv --rate 1 --n 8"],
 }
@@ -112,6 +114,10 @@ CASES = {
 INPUTS = {
     "experiment_config": {
         "exp.cfg": "# trig at P=20\npreset=trig\nmatrix=truncated\np_terms=20\nruns=2\nseed=7\ntimings=false\n",
+    },
+    "recover_odd_p_terms": {
+        "m.csv": "M,N,method,P\n2,4,truncated,3\n1.0,0.0,0.0,0.0\n0.0,1.0,0.0,0.0\n",
+        "s.csv": "time,value\n0.0,1.0\n1.0,0.5\n",
     },
 }
 

@@ -569,12 +569,18 @@ class TestCsvInterchange:
             ("1,2,poisson,\n1,2\n3,4\n", "line 4: expected 1 matrix rows, found 2"),
             ("2,2,poisson,\n1,2\n", "line 3: expected 2 matrix rows, found 1"),
             ("x,2,poisson,\n", "line 2: M, N and P must be integers, got 'x,2,poisson,'"),
-            ("1,2,sinc,\n1,2\n", "line 2: expected M, N >= 1 and a method in "
-                                   "('naive', 'truncated', 'poisson'), got '1,2,sinc,'"),
+            ("1,2,sinc,\n1,2\n", "line 2: unknown construction method 'sinc'; expected one of "
+                                   "('naive', 'truncated', 'poisson')"),
+            ("0,2,poisson,\n", "line 2: M must be an integer >= 1, got 0"),
+            ("2,4,truncated,3\n1,2,3,4\n5,6,7,8\n", "line 2: p_terms must be an even integer >= 2, got 3"),
+            ("2,4,truncated,\n1,2,3,4\n5,6,7,8\n", "line 2: truncated method needs p_terms"),
+            ("2,4,poisson,20\n1,2,3,4\n5,6,7,8\n", "line 2: only the truncated method takes p_terms, got 20 "
+                                                    "for 'poisson'"),
         ],
         ids=["header-only", "short-metadata", "short-row", "non-numeric", "infinite-entry",
              "nan-entry", "extra-rows",
-             "missing-rows", "non-integer-size", "unknown-method"],
+             "missing-rows", "non-integer-size", "unknown-method", "zero-rows", "odd-p", "truncated-without-p",
+             "p-without-truncated"],
     )
     def test_malformed_file_names_file_and_line(self, tmp_path, body, where):
         path = tmp_path / "bad.csv"

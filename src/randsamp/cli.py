@@ -21,7 +21,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import experiments, files, obs_matrix, signals, solvers
-from .fourier import sensing_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -207,7 +206,7 @@ def _cmd_recover(args) -> int:
     # the default budget fitted to the matrix, as experiment fits a preset's
     omp = replace(solvers.fit_budget(solvers.OmpConfig(), matrix.m, matrix.n_grid), **omp_fields)
     tv = replace(solvers.TvConfig(), **tv_fields)
-    result = solvers.solve(args.solver, sensing_matrix(matrix), matrix, y, omp, tv)
+    result = solvers.solve(args.solver, matrix, y, omp, tv)
     doc = {
         "values": list(map(float, result.recovered)),
         "support": result.support,

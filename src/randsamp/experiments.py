@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .files import check_choice, check_count, check_positive, csv_text, json_text
-from .fourier import poisson_sensing, sensing_matrix
+from .fourier import poisson_sensing
 from .obs_matrix import METHODS, build, check_p_terms
 from .signals import (
     GaussPulseSignal,
@@ -249,10 +249,9 @@ def _run(
     Resumed, it re-raises that RecoveryError, or yields the run's
     Reconstruction.
 
-    build_time_s times what makes the operators the solvers read, and
-    solve_time_s :func:`solve`. For OMP on ``poisson`` the build is only
-    :func:`poisson_sensing`, the two factor tables of the atoms; the columns
-    and correlations OMP forms from them are part of the solve.
+    build_time_s times the one operand the run builds (M0, or for OMP on
+    ``poisson`` :func:`poisson_sensing`'s factor tables), and solve_time_s
+    :func:`solve` on it, which takes the sensing matrix of an M0.
     """
     seed = derive_run_seed(cfg.master_seed, run_id)
     times = draw_random_times(plan.m_samples, plan.duration, plan.t0, seed)
@@ -263,15 +262,14 @@ def _run(
 
     tic = time.perf_counter()
     if plan.solver == "omp" and cfg.method == "poisson":
-        m0, sensing = None, poisson_sensing(grid_times, plan.interval, plan.n_grid)
+        operand = poisson_sensing(grid_times, plan.interval, plan.n_grid)
     else:
-        m0 = build(cfg.method, grid_times, plan.interval, plan.n_grid, cfg.p_terms)
-        sensing = sensing_matrix(m0)
+        operand = build(cfg.method, grid_times, plan.interval, plan.n_grid, cfg.p_terms)
     build_time = time.perf_counter() - tic
 
     tic = time.perf_counter()
     try:
-        result = solve(plan.solver, sensing, m0, samples.values, plan.omp, plan.tv)
+        result = solve(plan.solver, operand, samples.values, plan.omp, plan.tv)
         error = relative_l2_error(result.recovered, reference.values)
     except RecoveryError:
         yield RunRecord(run_id, seed, float("nan"), build_time, time.perf_counter() - tic)

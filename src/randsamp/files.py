@@ -25,8 +25,9 @@ def check_count(name: str, value, least: int, even: bool = False) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    """Reject a real that is not positive and finite (NaN included)."""
-    if not 0.0 < value < math.inf:
+    """Require a positive, finite int, float or numpy number; a bool, a string or NaN fails."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not real or not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 

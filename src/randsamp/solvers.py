@@ -1,6 +1,6 @@
 """Recovery of sparse spectra and gradient-sparse signals from random samples.
 
-Two solvers, which :func:`solve` runs as one pipeline step:
+Two solvers, which :func:`solve` runs on one operand as one pipeline step:
 
 * :func:`omp_recover` -- orthogonal matching pursuit for real signals on the
   sensing matrix A = M0 Psi* of a real M0, stored real in halfcomplex order
@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from .files import check_choice, check_count, check_positive
-from .fourier import PoissonSensing
+from .fourier import PoissonSensing, sensing_matrix
 
 SOLVERS = ("omp", "tv")
 
@@ -155,6 +155,13 @@ def _matrix(name: str, a: np.ndarray) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-D M x N matrix, got shape {a.shape}")
     return a
+
+
+def _m0_entries(m0) -> np.ndarray:
+    """M0, an ObservationMatrix or bare array, as a 2-D float array; a PoissonSensing is refused."""
+    if isinstance(m0, PoissonSensing):
+        raise ValueError("m0 must be an ObservationMatrix or an M x N array, got a PoissonSensing, which holds no M0")
+    return _matrix("m0", np.asarray(getattr(m0, "entries", m0), dtype=float))
 
 
 def _measurements(y, m: int) -> np.ndarray:
@@ -334,7 +341,8 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     constants TvConfig.epsilon and TvConfig.grad_tol. The history holds J
     at the start and after each step, so its last entry is J at the
     returned x. An M0 that is not 2-D, or a y or x_init that is not M or N
-    finite values, or a non-finite M0 entry, raises ValueError.
+    finite values, or a non-finite M0 entry, raises ValueError, as does a
+    PoissonSensing, which is the sensing matrix of M0's shape, not M0.
 
     M0 is copied once into a 64-byte-aligned buffer, so the speed of its
     BLAS products does not depend on where the heap placed the caller's
@@ -347,7 +355,7 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     those of evaluating J and its gradient afresh at every iterate, in the
     same order, so the iterates are those of that loop bit for bit.
     """
-    a = _aligned_copy(_matrix("m0", np.asarray(getattr(m0, "entries", m0), dtype=float)))
+    a = _aligned_copy(_m0_entries(m0))
     if not np.isfinite(a).all():
         raise ValueError("m0 entries must be finite")
     y = _measurements(y, a.shape[0])
@@ -405,11 +413,16 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     )
 
 
-def solve(solver: str, sensing, m0, y, omp: OmpConfig, tv: TvConfig) -> RecoveryResult:
-    """:func:`omp_recover` on the sensing matrix; for solver "tv", then
-    :func:`tv_recover` on m0 started from the OMP reconstruction, which pins
-    the transitions so the descent only flattens the ripples between them.
-    solver is one of SOLVERS; another name raises ValueError listing them."""
+def solve(solver: str, operand, y, omp: OmpConfig, tv: TvConfig) -> RecoveryResult:
+    """:func:`omp_recover` on the sensing matrix of operand, then for solver
+    "tv" :func:`tv_recover` on operand as M0 from the OMP reconstruction,
+    which pins the transitions so the descent only flattens the ripples
+    between them. operand is an ObservationMatrix, or for "omp" alone the
+    PoissonSensing of ``poisson_sensing``, which holds no M0. A solver not in
+    SOLVERS, and for "tv" an operand without M0, raise ValueError before any
+    OMP work."""
     check_choice("solver", solver, SOLVERS)
+    m0 = _m0_entries(operand) if solver == "tv" else None
+    sensing = operand if isinstance(operand, PoissonSensing) else sensing_matrix(operand)
     result = omp_recover(sensing, y, omp)
-    return tv_recover(m0, y, tv, x_init=result.recovered) if solver == "tv" else result
+    return result if m0 is None else tv_recover(m0, y, tv, x_init=result.recovered)

@@ -3,7 +3,8 @@ checked where it enters, by one rule per kind (randsamp.files):
 
 * a count is an int or numpy integer, not a bool or any float, and at
   least k;
-* a positive real is positive and finite;
+* a positive real is an int, float or numpy number, not a bool or a string,
+  and positive and finite;
 * a choice is one of a tuple.
 
 A rejection is a ValueError whose message names the parameter. A new entry
@@ -91,7 +92,7 @@ CHOICES = [
     ("ExperimentConfig", "solver", lambda v: ExperimentConfig(preset="trig", solver=v)),
     ("ObservationMatrix", "method", lambda v: ObservationMatrix(np.eye(2, 8), v)),
     ("build", "method", lambda v: build(v, TIMES, 1.0, 8)),
-    ("solve", "solver", lambda v: solve(v, np.eye(2, 8), None, np.ones(2), OmpConfig(), TvConfig())),
+    ("solve", "solver", lambda v: solve(v, ObservationMatrix(np.eye(2, 8), "naive"), np.ones(2), OmpConfig(), TvConfig())),
 ]
 
 
@@ -118,9 +119,15 @@ def test_count_accepts_numpy_integer(entry, name, least, call):
 
 
 @pytest.mark.parametrize("entry, name, call", POSITIVE_REALS, ids=_ids(POSITIVE_REALS))
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "1", True])
 def test_positive_real_rejected(entry, name, call, bad):
     _rejected(call, bad, name)
+
+
+@pytest.mark.parametrize("entry, name, call", POSITIVE_REALS, ids=_ids(POSITIVE_REALS))
+@pytest.mark.parametrize("good", [np.float32(1e3), np.int64(1000)], ids=["float32", "int64"])
+def test_positive_real_accepts_numpy_number(entry, name, call, good):
+    call(good)
 
 
 @pytest.mark.parametrize("entry, name, call", CHOICES, ids=_ids(CHOICES))

@@ -7,6 +7,7 @@ import pytest
 
 from dft_reference import dft_matrix, real_dft_basis
 from omp_reference import omp_reference
+from randsamp import solvers
 from randsamp.experiments import ExperimentConfig, derive_run_seed, resolve_plan
 from randsamp.fourier import dft_adjoint, poisson_sensing, sensing_matrix
 from randsamp.obs_matrix import ObservationMatrix, build_poisson
@@ -375,6 +376,13 @@ class TestTvRecover:
         with pytest.raises(ValueError, match=f"{argument}.* must be finite"):
             tv_recover(a, y, TvConfig(max_iters=10), x_init=x_init)
 
+    def test_poisson_sensing_rejected(self):
+        # np.asarray of a PoissonSensing is the M x N sensing matrix, of M0's
+        # shape; taken as M0 it would run the descent on the wrong operator.
+        times = np.sort(np.random.default_rng(11).uniform(0.0, 1.0, size=80))
+        with pytest.raises(ValueError, match="PoissonSensing, which holds no M0"):
+            tv_recover(poisson_sensing(times, 1 / 240, 240), np.ones(80), TvConfig(max_iters=50))
+
     def test_argument_validation(self):
         a = np.zeros((3, 8))
         with pytest.raises(ValueError):
@@ -518,21 +526,31 @@ class TestSolve:
 
     def test_tv_starts_from_the_omp_reconstruction(self):
         m0, y = random_tv_problem(12, 32, 5)
-        sensing = sensing_matrix(m0)
         omp, tv = OmpConfig(max_atoms=6, residual_tol=1e-6), TvConfig(max_iters=50)
-        warm = omp_recover(sensing, y, omp)
-        assert np.array_equal(solve("omp", sensing, None, y, omp, tv).recovered, warm.recovered)
+        warm = omp_recover(sensing_matrix(m0), y, omp)
+        assert np.array_equal(solve("omp", m0, y, omp, tv).recovered, warm.recovered)
         expected = tv_recover(m0, y, tv, x_init=warm.recovered)
-        got = solve("tv", sensing, m0, y, omp, tv)
+        got = solve("tv", m0, y, omp, tv)
         assert np.array_equal(got.recovered, expected.recovered)
         assert np.array_equal(got.objective_history, expected.objective_history)
+
+    def test_tv_refuses_a_poisson_sensing_before_any_omp_work(self, monkeypatch):
+        # A PoissonSensing is the sensing matrix, not M0: TV on it would
+        # descend on the wrong operator of M0's shape.
+        def fail(*args):
+            raise AssertionError("OMP ran before the operand was checked")
+
+        monkeypatch.setattr(solvers, "omp_recover", fail)
+        sensing = poisson_sensing(np.linspace(0.0, 30.0, 12), 1.0, 32)
+        with pytest.raises(ValueError, match="holds no M0"):
+            solve("tv", sensing, np.ones(12), OmpConfig(max_atoms=6), TvConfig())
 
     @pytest.mark.parametrize("solver", ["omp", "tv"])
     def test_zero_measurements_recover_zero(self, solver):
         # OMP selects nothing, so its support used to index with an empty
         # float array; TV starts at zero, where lam = 0 and grad J = 0.
         m0, _ = random_tv_problem(12, 32, 5)
-        result = solve(solver, sensing_matrix(m0), m0, np.zeros(12), OmpConfig(max_atoms=6), TvConfig())
+        result = solve(solver, m0, np.zeros(12), OmpConfig(max_atoms=6), TvConfig())
         assert np.array_equal(result.recovered, np.zeros(32))
         assert result.iterations == 0
         if solver == "omp":
@@ -541,7 +559,7 @@ class TestSolve:
     def test_unknown_solver_rejected(self):
         m0, y = random_tv_problem(12, 32, 5)
         with pytest.raises(ValueError, match="unknown solver 'lasso'"):
-            solve("lasso", sensing_matrix(m0), m0, y, OmpConfig(), TvConfig())
+            solve("lasso", m0, y, OmpConfig(), TvConfig())
 
     @pytest.mark.parametrize(
         "m, n, cap",

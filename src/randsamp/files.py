@@ -4,7 +4,7 @@ Every file is UTF-8; a leading byte-order mark is accepted on input. A file
 that cannot be opened or decoded, and a field that is not a finite number,
 raise ValueError naming the file (and the line), which the CLI reports as a
 usage error. So does an argument that breaks the rule of its kind (a count, a
-positive real or a choice), naming the parameter and the value.
+positive real, a choice or sample times), naming the parameter and the value.
 """
 
 from __future__ import annotations
@@ -35,6 +35,24 @@ def check_choice(what: str, value, choices: tuple) -> None:
     """Reject a name that is not one of choices; what says what it names."""
     if value not in choices:
         raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
+
+
+def grid_units(times, interval: float, n_grid: int) -> np.ndarray:
+    """Sample times in grid units, t / T, after checking the matrix builders'
+    arguments: nonempty 1-D finite times, an interval that is positive and
+    finite and an integer n_grid >= 2."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("times must be a nonempty 1-D array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    check_positive("interval", interval)
+    check_count("n_grid", n_grid, 2)
+    with np.errstate(over="ignore"):
+        u = times / interval
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"times / interval must be finite; interval {interval} overflows it")
+    return u
 
 
 def read_lines(path) -> list[tuple[int, str]]:

@@ -19,20 +19,18 @@ made. :func:`sensing_matrix` takes it as the real FFT of M0's rows, for any
 M0, and returns such a view.
 
 For a ``poisson`` M0 the atoms a_j = e^{2 pi i j u / N} / sqrt(N), u = t / T,
-are the one closed form, and each is the product of two factors: with
-B = ceil(sqrt(N//2 + 1)), a_{bB+c} = e^{2 pi i bB u / N} *
-e^{2 pi i c u / N} / sqrt(N). ``obs_matrix.build_poisson`` forms every
-product for its inverse real FFT. :func:`poisson_sensing` keeps the two
-M x ~sqrt(N/2) factor tables instead, as a :class:`PoissonSensing`, which
-OMP reads through the three operations it needs: the column norms, the
-correlations of a residual with every column, and one column.
+are the one closed form. :class:`PoissonSensing` builds and holds them, as
+two small factor tables that OMP reads without forming the matrix, and
+``obs_matrix.build_poisson`` is their inverse real FFT.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .obs_matrix import _check_args, _poisson_atoms, _poisson_factors
+from .files import grid_units
 
 
 def dft_forward(x) -> np.ndarray:
@@ -55,9 +53,14 @@ def _halfcomplex(atoms, n_grid: int) -> np.ndarray:
 
 
 class PoissonSensing:
-    """Real M x N sensing matrix of a ``poisson`` M0, held as the coarse and
-    fine factor tables of its atoms (see the module docstring): O(M sqrt(N))
-    numbers in place of M N. ``np.asarray`` forms the dense matrix.
+    """Real M x N sensing matrix of a ``poisson`` M0 at the times u in grid
+    units, held as the coarse and fine factor tables of its atoms: with
+    B = ceil(sqrt(N//2 + 1)), atom j = b B + c is coarse[:, b] * fine[:, c],
+    coarse being the M x ceil((N//2 + 1) / B) table at j = b B and fine the
+    M x B table at j = c, scaled by 1 / sqrt(N). That is O(M sqrt(N))
+    numbers in place of M N; ``np.asarray`` forms the dense matrix. With
+    u = k + f, k = round(u), phase j u / N is ((j k mod N) + j f) / N, the
+    product j k reduced exactly in integers.
 
     The three reads of :func:`~randsamp.solvers.omp_recover` cost
     O(M sqrt(N)) memory: a correlation is one complex product
@@ -66,15 +69,34 @@ class PoissonSensing:
     keeps, so one instance serves one solve at a time.
     """
 
-    def __init__(self, coarse, fine, n_grid: int):
-        self.coarse, self.fine, self.n_grid = coarse, fine, n_grid
-        self.shape = (len(fine), n_grid)
-        self._scaled = np.empty_like(fine)
-        self._correlations = np.empty((coarse.shape[1], fine.shape[1]), dtype=complex)
+    def __init__(self, u, n_grid: int):
+        k = np.round(u)
+        f = u - k
+        k %= n_grid  # exact, so the integer products below cannot overflow
+        k = k.astype(np.int64)
+        h = n_grid // 2 + 1
+        b = math.isqrt(h - 1) + 1
+
+        def table(j):
+            phase = (2.0 * np.pi / n_grid) * (np.outer(k, j) % n_grid + np.outer(f, j))
+            out = np.empty(phase.shape, dtype=complex)
+            np.cos(phase, out=out.real)
+            np.sin(phase, out=out.imag)
+            return out
+
+        self.coarse, self.fine = table(b * np.arange(-(-h // b))), table(np.arange(b)) / math.sqrt(n_grid)
+        self.n_grid = n_grid
+        self.shape = (len(u), n_grid)
+        self._scaled = np.empty_like(self.fine)
+        self._correlations = np.empty((self.coarse.shape[1], b), dtype=complex)
         self._flat = self._correlations.reshape(-1).view(float)
 
+    def atoms(self) -> np.ndarray:
+        """The M x W table, W >= N//2 + 1, whose column j is atom j."""
+        return (self.coarse[:, :, None] * self.fine[:, None, :]).reshape(len(self.fine), -1)
+
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(_halfcomplex(_poisson_atoms(self.coarse, self.fine), self.n_grid), dtype=dtype)
+        return np.asarray(_halfcomplex(self.atoms(), self.n_grid), dtype=dtype)
 
     def sq_norms(self) -> np.ndarray:
         """Squared norm of every column. Every atom has modulus 1 / sqrt(N),
@@ -109,10 +131,9 @@ def poisson_sensing(times, interval: float, n_grid: int) -> PoissonSensing:
     """Real sensing matrix of ``build_poisson(times, interval, n_grid)``: by
     Poisson summation, the atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T,
     with phases reduced exactly. Times are measured from the grid origin, as
-    for ``build_poisson``. Held as the factor tables of the atoms.
+    for ``build_poisson``.
     """
-    u = _check_args(times, interval, n_grid)
-    return PoissonSensing(*_poisson_factors(u, n_grid), n_grid)
+    return PoissonSensing(grid_units(times, interval, n_grid), n_grid)
 
 
 def sensing_matrix(m0) -> np.ndarray:

@@ -28,12 +28,8 @@ the entries and the method and P tags only, as the CSV layout does.
                    kernel sin(pi theta) / (N tan(pi theta / N)) for even N,
                    sin(pi theta) / (N sin(pi theta / N)) for odd N, with no
                    inner summation. By Poisson summation, row m is the
-                   inverse DFT of the Fourier atoms e^{2 pi i j u_m / N} /
-                   sqrt(N) at u_m = t_m / T, with phases reduced exactly.
-                   Each atom is the product of a coarse and a fine factor,
-                   whose two small tables ``fourier.poisson_sensing`` holds;
-                   a build forms their products and takes one inverse real
-                   FFT.
+                   inverse real FFT of the Fourier atoms at u_m = t_m / T,
+                   which ``fourier.PoissonSensing`` builds and holds.
                    :func:`periodized_sinc` evaluates the same kernel pointwise.
 
 """
@@ -48,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import check_choice, check_count, check_positive, csv_text, finite_field, read_rows, write
+from .files import check_choice, check_count, csv_text, finite_field, grid_units, read_rows, write
+from .fourier import PoissonSensing
 
 # Distance from the nearest multiple of N below which the closed-form kernel
 # switches to its removable-singularity limit (exactly 1 for either parity of N).
@@ -123,35 +120,14 @@ def periodized_sinc(theta, n_grid: int):
     return float(out) if np.ndim(theta) == 0 else out
 
 
-def _check_args(times, interval: float, n_grid: int) -> np.ndarray:
-    """Check the builder arguments, an interval that is positive and finite
-    and an integer n_grid >= 2, and return the times in grid units, t / T."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("times must be a nonempty 1-D array")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    check_positive("interval", interval)
-    check_count("n_grid", n_grid, 2)
-    with np.errstate(over="ignore"):
-        u = times / interval
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"times / interval must be finite; interval {interval} overflows it")
-    return u
-
-
 def _theta(u, n_grid: int, out=None) -> np.ndarray:
     """The kernel arguments theta = u_m - n for the times u in grid units."""
     return np.subtract(u[:, None], np.arange(n_grid)[None, :], out=out)
 
 
-def _kernel_args(times, interval: float, n_grid: int) -> np.ndarray:
-    return _theta(_check_args(times, interval, n_grid), n_grid)
-
-
 def build_naive(times, interval: float, n_grid: int) -> ObservationMatrix:
     """Single-period sinc interpolation matrix: entry (m, n) = sinc(t_m/T - n)."""
-    return ObservationMatrix(np.sinc(_kernel_args(times, interval, n_grid)), "naive")
+    return ObservationMatrix(np.sinc(_theta(grid_units(times, interval, n_grid), n_grid)), "naive")
 
 
 def check_p_terms(p_terms) -> None:
@@ -251,7 +227,7 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
     else 0. p_terms must be an even int or numpy integer >= 2.
     """
     check_p_terms(p_terms)
-    u = _check_args(times, interval, n_grid)
+    u = grid_units(times, interval, n_grid)
     theta = _theta(u, n_grid)
     half = p_terms // 2
     q = max(1, math.ceil(2.0 * max(theta.max(), -theta.min()) / n_grid))
@@ -297,37 +273,6 @@ def build_truncated(times, interval: float, n_grid: int, p_terms: int) -> Observ
     return ObservationMatrix(entries, "truncated", p_terms=p_terms)
 
 
-def _poisson_factors(u, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse and fine factors of the Fourier atoms e^{2 pi i j u / N} /
-    sqrt(N) at u = t / T, for j = 0..N//2. With B = ceil(sqrt(N//2 + 1)),
-    atom b B + c is coarse[:, b] * fine[:, c]: coarse is the M x
-    ceil((N//2 + 1) / B) table at j = b B, fine the M x B table at j = c,
-    scaled by 1 / sqrt(N). With u = k + f, k = round(u), phase j u / N is
-    ((j k mod N) + j f) / N, the product j k reduced exactly in integers.
-    """
-    k = np.round(u)
-    f = u - k
-    k %= n_grid  # exact, so the integer products below cannot overflow
-    k = k.astype(np.int64)
-    h = n_grid // 2 + 1
-    b = math.isqrt(h - 1) + 1
-
-    def table(j):
-        phase = (2.0 * np.pi / n_grid) * (np.outer(k, j) % n_grid + np.outer(f, j))
-        out = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=out.real)
-        np.sin(phase, out=out.imag)
-        return out
-
-    return table(b * np.arange(-(-h // b))), table(np.arange(b)) / math.sqrt(n_grid)
-
-
-def _poisson_atoms(coarse, fine) -> np.ndarray:
-    """The M x W table, W >= N//2 + 1, of the atoms with column b B + c
-    coarse[:, b] * fine[:, c], for the factors of :func:`_poisson_factors`."""
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(fine), -1)
-
-
 def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
     """Exact periodized sinc matrix, for either parity of n_grid.
 
@@ -335,13 +280,12 @@ def build_poisson(times, interval: float, n_grid: int) -> ObservationMatrix:
     e^{2 pi i j u_m / N} / sqrt(N) at u_m = t_m / T, conjugated:
     (1/N) sum_j e^{2 pi i j (u_m - n) / N} over the N frequencies nearest 0,
     the Nyquist term read as cos(pi (u_m - n)) for even N. So M0 is the
-    inverse real FFT of the atoms whose factors ``fourier.poisson_sensing``
-    holds, with phases reduced exactly. Rows with u_m an exact integer are
-    set to the exact unit vector, where the FFT leaves ~1e-17 off the
-    diagonal.
+    inverse real FFT of the atoms of ``fourier.PoissonSensing``. Rows with
+    u_m an exact integer are set to the exact unit vector, where the FFT
+    leaves ~1e-17 off the diagonal.
     """
-    u = _check_args(times, interval, n_grid)
-    atoms = _poisson_atoms(*_poisson_factors(u, n_grid))[:, : n_grid // 2 + 1]
+    u = grid_units(times, interval, n_grid)
+    atoms = PoissonSensing(u, n_grid).atoms()[:, : n_grid // 2 + 1]
     entries = np.fft.irfft(atoms.conj(), n=n_grid, norm="ortho")
     on_grid = np.flatnonzero(u == np.round(u))
     entries[on_grid] = 0.0

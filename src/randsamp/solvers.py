@@ -198,10 +198,11 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     order (see :mod:`~randsamp.fourier`): Re a_0, then Re a_j and Im a_j in
     columns 2j - 1 and 2j; either an array or the
     :class:`~randsamp.fourier.PoissonSensing` that ``poisson_sensing``
-    returns, which is read without forming the matrix. A complex array or a
-    non-finite y raises ValueError. Per iteration: (1) pick the frequency j
-    maximizing |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins
-    j and N-j, or one bin for DC and Nyquist; (2) orthogonalize its columns
+    returns, which is read without forming the matrix. A complex array, an
+    array with a non-finite entry or column norm, or a non-finite y raises
+    ValueError. Per iteration: (1) pick the frequency j maximizing
+    |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins j and N-j,
+    or one bin for DC and Nyquist; (2) orthogonalize its columns
     Re a_j and Im a_j (Re a_j alone for DC and Nyquist) against those
     selected before, by classical Gram-Schmidt applied twice, which extends
     a[:, S] = Q R over the selected columns S; (3) project y onto Q for the
@@ -236,6 +237,8 @@ def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
     slots = np.zeros(2 * h)
     pairs = slots.view(complex)
     sq_norms = a.sq_norms()
+    if not np.isfinite(sq_norms).all():
+        raise ValueError("sensing matrix entries and their column norms must be finite")
     slots[1 : n + 1] = sq_norms
     col_norms = np.sqrt(pairs.real + pairs.imag)
     col_norms = np.where(col_norms > 0.0, col_norms, 1.0)

@@ -63,6 +63,21 @@ class TestExperimentCommand:
         assert run_cli(*argv, b).returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--preset", "square"), ("--preset", "trig", "--matrix", "truncated", "--p-terms", "2000")],
+        ids=["square", "trig-truncated"],
+    )
+    def test_byte_identical_across_blas_threads(self, run_cli, argv):
+        # OMP's and the TV descent's BLAS products, and a P=2000 build, must
+        # give the same bytes on one BLAS thread as on two
+        outs = [
+            run_cli("experiment", *argv, "--runs", "2", "--seed", "7", env_extra={"OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")
+        ]
+        assert [proc.returncode for proc in outs] == [0, 0], outs[0].stderr + outs[1].stderr
+        assert outs[0].stdout == outs[1].stdout
+
     def test_all_runs_failed_exits_2(self, run_cli, tmp_path):
         # 16 bins with no residual stop outgrow the 8 measurements, so the
         # OMP warm start of the square run fails.

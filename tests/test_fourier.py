@@ -1,11 +1,14 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, strategies as st
 
 from dft_reference import dft_matrix, halfcomplex, real_dft_basis
+from randsamp import fourier
 from randsamp.fourier import dft_adjoint, dft_forward, poisson_sensing, sensing_matrix
 from randsamp.obs_matrix import build, build_poisson
 from randsamp.signals import TrigSignal, uniform_samples
@@ -243,6 +246,18 @@ class TestPoissonSensing:
         for times, interval, n in (([np.nan], 1.0, 8), ([], 1.0, 8), ([0.5], 0.0, 8), ([0.5], 1.0, 1)):
             with pytest.raises(ValueError):
                 poisson_sensing(times, interval, n)
+
+
+def test_fourier_imports_nothing_from_obs_matrix():
+    # obs_matrix builds M0 from fourier's atoms, never the other way round
+    tree = ast.parse(Path(fourier.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    assert names and not [name for name in names if "obs_matrix" in name.split(".")]
 
 
 class TestAgainstExplicitMatrix:

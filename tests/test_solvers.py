@@ -261,6 +261,22 @@ def test_non_finite_measurement_rejected(solver, bad):
             tv_recover(m0, y, TvConfig(max_iters=10))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+@pytest.mark.parametrize("call", ["omp_recover", "solve"])
+def test_non_finite_sensing_rejected(call, bad):
+    # Unchecked, a NaN entry returns an all-NaN signal and an infinite one
+    # stops on an unnamed invalid value in the scoring division; 1e200 is
+    # finite, but its column norm overflows to inf
+    entries = np.random.default_rng(0).standard_normal((4, 8))
+    entries[1, 3] = bad
+    y, omp = np.ones(4), OmpConfig(max_atoms=4)
+    with pytest.raises(ValueError, match="sensing matrix entries and their column norms must be finite"):
+        if call == "omp_recover":
+            omp_recover(entries, y, omp)
+        else:
+            solve("omp", ObservationMatrix(entries, "naive"), y, omp, TvConfig())
+
+
 @pytest.mark.parametrize(
     "make",
     [

@@ -311,8 +311,14 @@ def save_matrix_csv(matrix: ObservationMatrix, path) -> None:
     line 1: ``M,N,method,P``  (column names)
     line 2: the four values; P is empty unless method == truncated
     then M rows of N comma-separated entries, row-major, shortest
-    round-trip decimals.
+    round-trip decimals. A matrix with a non-finite entry, which
+    :func:`load_matrix_csv` would refuse, raises ValueError naming the first
+    one before the file is opened.
     """
+    bad = np.argwhere(~np.isfinite(matrix.entries))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"cannot save {path}: entry [{i}, {j}] is {float(matrix.entries[i, j])!r}, not finite")
     meta = (matrix.m, matrix.n_grid, matrix.method, matrix.p_terms)
     write(csv_text("M,N,method,P", [meta, *matrix.entries]), path)
 

@@ -543,6 +543,17 @@ class TestCsvInterchange:
         assert lines[0] == "M,N,method,P"
         assert lines[1] == "1,8,poisson,"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused_before_writing(self, tmp_path, value):
+        # load_matrix_csv refuses a nan or inf field, so no such file is written.
+        entries = np.zeros((2, 4))
+        entries[1, 2], entries[1, 3] = value, np.nan
+        path = tmp_path / "matrix.csv"
+        with pytest.raises(ValueError) as info:
+            save_matrix_csv(ObservationMatrix(entries, "naive"), path)
+        assert str(info.value) == f"cannot save {path}: entry [1, 2] is {value!r}, not finite"
+        assert not path.exists()
+
     @pytest.mark.parametrize("content", [None, b"\xffM,N,method,P\n"], ids=["missing", "undecodable"])
     def test_unreadable_file_names_the_file(self, tmp_path, content):
         path = tmp_path / "matrix.csv"

@@ -462,6 +462,21 @@ def placed_at(a, offset):
     return out
 
 
+def assert_matches_plain_descent(m0, y, cfg, start, wrapped=False):
+    """tv_recover against plain_tv_descent bit for bit, with M0's entries
+    placed at several byte offsets from a cache line, bare or wrapped.
+    Returns the reference step count."""
+    for offset in (0, 8, 16, 32, 48):
+        a = placed_at(m0.entries, offset)
+        x_ref, iters_ref, hist_ref = plain_tv_descent(a, y, cfg, start)
+        res = tv_recover(ObservationMatrix(a, "poisson") if wrapped else a, y, cfg, x_init=start)
+        assert res.iterations == iters_ref
+        assert np.array_equal(res.recovered, x_ref)
+        assert np.array_equal(res.objective_history, hist_ref)
+        assert res.final_residual == np.linalg.norm(a @ x_ref - y)
+    return iters_ref
+
+
 class TestTvRecoverOracle:
     @pytest.mark.parametrize(
         "m, n, seed, cfg, x_init, wrapped",
@@ -480,14 +495,29 @@ class TestTvRecoverOracle:
         # bits, wherever the caller's M0 sits relative to a cache line, and
         # whether it comes bare or as an ObservationMatrix.
         m0, y = random_tv_problem(m, n, seed)
-        start = np.zeros(n) if x_init == "zeros" else None
-        for offset in (0, 8, 16, 32, 48):
-            a = placed_at(m0.entries, offset)
-            x_ref, iters_ref, hist_ref = plain_tv_descent(a, y, cfg, start)
-            res = tv_recover(ObservationMatrix(a, "poisson") if wrapped else a, y, cfg, x_init=start)
-            assert res.iterations == iters_ref
-            assert np.array_equal(res.recovered, x_ref)
-            assert np.array_equal(res.objective_history, hist_ref)
+        assert_matches_plain_descent(m0, y, cfg, np.zeros(n) if x_init == "zeros" else None, wrapped)
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_budget_around_a_block_boundary(self, blocks, extra):
+        # tv_recover takes J and the stop test once per block of steps; a
+        # budget that ends one step before, at or after a block boundary
+        # still returns the plain descent's last iterate and history.
+        m0, y = random_tv_problem(16, 48, 51)
+        cfg = TvConfig(lam=0.1, max_iters=blocks * solvers._TV_BLOCK + extra)
+        assert assert_matches_plain_descent(m0, y, cfg, None) == cfg.max_iters
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-7])
+    def test_gradient_stop_inside_a_block(self, scale):
+        # y = M0 c for a constant c, where grad J = 0. From c plus a small
+        # perturbation the descent meets grad_tol after some steps (54 and 99
+        # here), inside a block, and returns that iterate, not the block's
+        # last one.
+        rng = np.random.default_rng(60)
+        m0 = build_poisson(np.sort(rng.uniform(0.0, 24.0, size=24)), 1.0, 24)
+        c = np.full(24, 0.4)
+        start = c + scale * rng.standard_normal(24)
+        steps = assert_matches_plain_descent(m0, m0.entries @ c, TvConfig(max_iters=1000), start)
+        assert 0 < steps < 1000 and steps % solvers._TV_BLOCK != solvers._TV_BLOCK - 1
 
 
 class TestTvRecoverState:
@@ -514,6 +544,13 @@ class TestTvRecoverState:
         assert res.objective_history[0] == pytest.approx(objective(x_init), rel=1e-12)
         assert res.objective_history[-1] == pytest.approx(objective(res.recovered), rel=1e-12)
         assert res.final_residual == pytest.approx(np.linalg.norm(m0.entries @ res.recovered - y), rel=1e-12)
+
+    def test_result_owns_its_arrays(self):
+        # A kept result does not keep the descent's block buffers alive.
+        m0, y = random_tv_problem(10, 25, 53)
+        res = tv_recover(m0, y, TvConfig(max_iters=100))
+        assert res.recovered.base is None and res.objective_history.base is None
+        assert len(res.objective_history) == res.iterations + 1
 
     def test_caller_x_init_not_modified(self):
         m0, y = random_tv_problem(10, 25, 49)

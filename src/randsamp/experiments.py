@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -94,8 +93,10 @@ class ExperimentConfig:
     def __post_init__(self):
         check_choice("preset", self.preset, PRESETS)
         check_choice("matrix method", self.method, METHODS)
-        if self.method == "truncated":  # the other methods ignore p_terms
+        if self.method == "truncated":
             check_p_terms(self.p_terms)
+        elif self.p_terms is not None:  # the other methods ignore a count P
+            check_count("p_terms", self.p_terms, 1)
         if self.solver is not None:
             check_choice("solver", self.solver, SOLVERS)
         check_count("runs", self.runs, 1)
@@ -241,13 +242,10 @@ class Reconstruction:
 
 def _run(
     cfg: ExperimentConfig, plan: ResolvedPlan, reference, run_id: int
-) -> Iterator[RunRecord | Reconstruction]:
-    """Draw, sample, build and recover one run, in two steps.
-
-    The generator first yields the run's RunRecord; when the solver failed,
-    its error is NaN and its times are those measured up to the failure.
-    Resumed, it re-raises that RecoveryError, or yields the run's
-    Reconstruction.
+) -> tuple[RunRecord, Reconstruction | RecoveryError]:
+    """Draw, sample, build and recover one run: its RunRecord with its
+    Reconstruction, or, if the solver failed, with the RecoveryError it
+    raised, the record's error NaN and its solve time up to the failure.
 
     build_time_s times the one operand the run builds (M0, or for OMP on
     ``poisson`` :func:`poisson_sensing`'s factor tables), and solve_time_s
@@ -267,26 +265,27 @@ def _run(
         operand = build(cfg.method, grid_times, plan.interval, plan.n_grid, cfg.p_terms)
     build_time = time.perf_counter() - tic
 
+    def record(error: float) -> RunRecord:
+        return RunRecord(run_id, seed, error, build_time, time.perf_counter() - tic)
+
     tic = time.perf_counter()
     try:
         result = solve(plan.solver, operand, samples.values, plan.omp, plan.tv)
-        error = relative_l2_error(result.recovered, reference.values)
-    except RecoveryError:
-        yield RunRecord(run_id, seed, float("nan"), build_time, time.perf_counter() - tic)
-        raise
-    yield RunRecord(run_id, seed, error, build_time, time.perf_counter() - tic)
-    yield Reconstruction(run_id, seed, times, samples.values, result, reference, error)
+    except RecoveryError as exc:  # returned here: bound past the handler, it would form a cycle with this frame
+        return record(float("nan")), exc
+    error = relative_l2_error(result.recovered, reference.values)
+    return record(error), Reconstruction(run_id, seed, times, samples.values, result, reference, error)
 
 
 def reconstruct_once(cfg: ExperimentConfig, run_id: int = 0) -> Reconstruction:
-    """Materialize a single run of an experiment (the figure-style view).
-
-    Unlike :func:`run_experiment`, solver failures propagate.
-    """
+    """Materialize a single run of an experiment (the figure-style view);
+    unlike :func:`run_experiment`, raise the RecoveryError of a failed run."""
     plan = resolve_plan(cfg)
     reference = uniform_samples(plan.signal, plan.n_grid, plan.interval, plan.t0)
-    _, reconstruction = _run(cfg, plan, reference, run_id)
-    return reconstruction
+    _, outcome = _run(cfg, plan, reference, run_id)
+    if isinstance(outcome, RecoveryError):
+        raise outcome
+    return outcome
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -297,7 +296,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """
     plan = resolve_plan(cfg)
     reference = uniform_samples(plan.signal, plan.n_grid, plan.interval, plan.t0)
-    records = [next(_run(cfg, plan, reference, i)) for i in range(cfg.runs)]
+    records = [_run(cfg, plan, reference, i)[0] for i in range(cfg.runs)]
     return ExperimentReport(
         preset=cfg.preset,
         method=cfg.method,

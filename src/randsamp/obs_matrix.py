@@ -70,9 +70,10 @@ _SPLIT_WORK = 1_000_000
 
 @dataclass
 class ObservationMatrix:
-    """Dense M x N interpolation matrix tagged with how it was built: method
-    is one of METHODS, and p_terms an even integer >= 2 for ``truncated``
-    and None for the other methods."""
+    """Dense M x N interpolation matrix of finite entries, tagged with how it
+    was built: method is one of METHODS, and p_terms an even integer >= 2 for
+    ``truncated`` and None for the other methods. A NaN or infinite entry
+    raises ValueError naming the first one."""
 
     entries: np.ndarray
     method: str
@@ -83,6 +84,7 @@ class ObservationMatrix:
         _check_tags(self.method, self.p_terms)
         if self.entries.ndim != 2 or self.entries.size == 0:
             raise ValueError(f"entries must be a nonempty 2-D array, got shape {self.entries.shape}")
+        _check_finite(self.entries, "observation matrix ")
         if self.m > self.n_grid:
             message = f"M={self.m} exceeds N={self.n_grid}; expected the under-sampled regime M <= N"
             warnings.warn(message, stacklevel=3)  # past this method and the __init__ dataclass writes
@@ -94,6 +96,14 @@ class ObservationMatrix:
     @property
     def n_grid(self) -> int:
         return self.entries.shape[1]
+
+
+def _check_finite(entries: np.ndarray, context: str) -> None:
+    """Reject a matrix with a NaN or infinite entry, naming the first one
+    after context."""
+    if not np.isfinite(entries).all():
+        i, j = np.argwhere(~np.isfinite(entries))[0]
+        raise ValueError(f"{context}entry [{i}, {j}] is {float(entries[i, j])!r}, not finite")
 
 
 def periodized_sinc(theta, n_grid: int):
@@ -311,14 +321,11 @@ def save_matrix_csv(matrix: ObservationMatrix, path) -> None:
     line 1: ``M,N,method,P``  (column names)
     line 2: the four values; P is empty unless method == truncated
     then M rows of N comma-separated entries, row-major, shortest
-    round-trip decimals. A matrix with a non-finite entry, which
-    :func:`load_matrix_csv` would refuse, raises ValueError naming the first
-    one before the file is opened.
+    round-trip decimals. A matrix whose entries were made non-finite after it
+    was built, which :func:`load_matrix_csv` would refuse, raises ValueError
+    naming the first one before the file is opened.
     """
-    bad = np.argwhere(~np.isfinite(matrix.entries))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"cannot save {path}: entry [{i}, {j}] is {float(matrix.entries[i, j])!r}, not finite")
+    _check_finite(matrix.entries, f"cannot save {path}: ")
     meta = (matrix.m, matrix.n_grid, matrix.method, matrix.p_terms)
     write(csv_text("M,N,method,P", [meta, *matrix.entries]), path)
 

@@ -64,6 +64,8 @@ COUNTS = [
     ("ExperimentConfig", "m_samples", 1, lambda v: ExperimentConfig(preset="trig", m_samples=v)),
     ("ExperimentConfig", "n_grid", 2, lambda v: ExperimentConfig(preset="trig", n_grid=v)),
     ("ExperimentConfig", "p_terms", 2, lambda v: ExperimentConfig(preset="trig", method="truncated", p_terms=v)),
+    ("ExperimentConfig(naive)", "p_terms", 1, lambda v: ExperimentConfig(preset="trig", method="naive", p_terms=v)),
+    ("ExperimentConfig(poisson)", "p_terms", 1, lambda v: ExperimentConfig(preset="trig", method="poisson", p_terms=v)),
 ]
 
 # (entry point, parameter, call with the value)

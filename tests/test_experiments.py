@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from dataclasses import replace
@@ -24,7 +25,7 @@ from randsamp.experiments import (
 )
 from randsamp.fourier import sensing_matrix
 from randsamp.obs_matrix import build_poisson
-from randsamp.signals import grid_origin
+from randsamp.signals import grid_origin, uniform_samples
 from randsamp.solvers import OmpConfig, OverSelectionError, RecoveryError, TvConfig, omp_recover
 
 
@@ -214,6 +215,20 @@ class TestRunExperiment:
         assert report.n_failed == 2
         assert all(math.isnan(r.error) and r.build_time_s > 0.0 for r in report.records)
 
+    def test_failed_runs_leave_no_reference_cycle(self):
+        # A RecoveryError kept in a local of the frame that caught it forms a
+        # cycle with that frame, which its traceback holds: each failed run's
+        # arrays would then live until the cyclic collector runs.
+        cfg = failing_square_config()
+        run_experiment(cfg)
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_experiment(cfg).n_failed == 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_failed_run_row_keeps_seed_and_timings(self):
         report = run_experiment(failing_square_config())
         rows = report_csv(report, include_timings=True).splitlines()[1:3]
@@ -244,6 +259,27 @@ class TestReconstructOnce:
     def test_solver_failure_propagates(self):
         with pytest.raises(RecoveryError):
             reconstruct_once(failing_square_config())
+
+    def test_run_is_one_record_with_its_reconstruction_or_failure(self):
+        # A batch keeps the record; reconstruct_once returns the
+        # reconstruction, or raises the failure with the traceback of the
+        # solver call that raised it.
+        for cfg, kind in ((small_trig_config(), Reconstruction), (failing_square_config(), OverSelectionError)):
+            plan = resolve_plan(cfg)
+            reference = uniform_samples(plan.signal, plan.n_grid, plan.interval, plan.t0)
+            record, outcome = experiments._run(cfg, plan, reference, 1)
+            assert isinstance(outcome, kind)
+            batch = run_experiment(cfg).records[1]
+            assert (record.run_id, record.seed) == (batch.run_id, batch.seed)
+            if kind is Reconstruction:
+                assert record.error == batch.error == outcome.error
+                assert reconstruct_once(cfg, 1).error == outcome.error
+            else:
+                assert math.isnan(record.error) and math.isnan(batch.error)
+                with pytest.raises(OverSelectionError) as info:
+                    reconstruct_once(cfg, 1)
+                assert str(info.value) == str(outcome)
+                assert [entry.name for entry in info.traceback[-3:]] == ["_run", "solve", "omp_recover"]
 
 
 def interior_error(outcome):

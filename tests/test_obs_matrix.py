@@ -189,6 +189,15 @@ class TestBuilders:
                 ObservationMatrix(bad, "poisson")
         assert ObservationMatrix(np.zeros((2, 8)), "poisson").n_grid == 8
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused_when_built(self, value):
+        # Once accepted, to fail later as a NaN recovery or an unreadable CSV.
+        entries = np.zeros((2, 4))
+        entries[1, 2], entries[1, 3] = value, np.nan
+        with pytest.raises(ValueError) as info:
+            ObservationMatrix(entries, "naive")
+        assert str(info.value) == f"observation matrix entry [1, 2] is {value!r}, not finite"
+
     @pytest.mark.parametrize("method", ["naive", "truncated", "poisson"])
     @pytest.mark.parametrize("interval", [math.nan, math.inf])
     def test_interval_must_be_finite(self, method, interval):
@@ -545,12 +554,14 @@ class TestCsvInterchange:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_refused_before_writing(self, tmp_path, value):
-        # load_matrix_csv refuses a nan or inf field, so no such file is written.
-        entries = np.zeros((2, 4))
-        entries[1, 2], entries[1, 3] = value, np.nan
+        # load_matrix_csv refuses a nan or inf field, so no such file is
+        # written. The entries are mutable, so one can be set after the
+        # matrix was built.
+        matrix = ObservationMatrix(np.zeros((2, 4)), "naive")
+        matrix.entries[1, 2], matrix.entries[1, 3] = value, np.nan
         path = tmp_path / "matrix.csv"
         with pytest.raises(ValueError) as info:
-            save_matrix_csv(ObservationMatrix(entries, "naive"), path)
+            save_matrix_csv(matrix, path)
         assert str(info.value) == f"cannot save {path}: entry [1, 2] is {value!r}, not finite"
         assert not path.exists()
 

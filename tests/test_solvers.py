@@ -266,11 +266,15 @@ def test_non_finite_measurement_rejected(solver, bad):
 def test_non_finite_sensing_rejected(call, bad):
     # Unchecked, a NaN entry returns an all-NaN signal and an infinite one
     # stops on an unnamed invalid value in the scoring division; 1e200 is
-    # finite, but its column norm overflows to inf
+    # finite, but its column norm overflows to inf. solve's operand refuses
+    # a NaN or infinite entry when it is built.
     entries = np.random.default_rng(0).standard_normal((4, 8))
     entries[1, 3] = bad
     y, omp = np.ones(4), OmpConfig(max_atoms=4)
-    with pytest.raises(ValueError, match="sensing matrix entries and their column norms must be finite"):
+    message = "sensing matrix entries and their column norms must be finite"
+    if call == "solve" and not math.isfinite(bad):
+        message = rf"^observation matrix entry \[1, 3\] is {bad!r}, not finite$"
+    with pytest.raises(ValueError, match=message):
         if call == "omp_recover":
             omp_recover(entries, y, omp)
         else:

@@ -3,8 +3,9 @@
 The pieces, bottom up: test-signal generators and samplers (:mod:`.signals`),
 three observation-matrix constructions linking the uniform grid to the random
 sample times (:mod:`.obs_matrix`), the unitary DFT basis and the real
-sensing matrix (:mod:`.fourier`), OMP and total-variation recovery
-(:mod:`.solvers`), and a seeded benchmark harness (:mod:`.experiments`) with
+sensing matrix (:mod:`.fourier`), OMP on groups of runs in lock-step
+(:mod:`.omp`) and total-variation recovery, with the solve step that runs
+them (:mod:`.solvers`), and a seeded benchmark harness (:mod:`.experiments`) with
 a CLI front end (:mod:`.cli`). :mod:`.files` reads and writes their UTF-8
 text files.
 """

@@ -292,7 +292,8 @@ def _add_experiment_flags(parser) -> None:
         "--timings",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="fill the wall-clock columns (off keeps output byte-reproducible)",
+        help="fill the wall-clock columns, each run's share of its group's build and solve time "
+        "(off keeps output byte-reproducible)",
     )
     _add_solver_flags(parser)
 

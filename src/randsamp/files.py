@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,15 @@ def check_choice(what: str, value, choices: tuple) -> None:
     """Reject a name that is not one of choices; what says what it names."""
     if value not in choices:
         raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
+
+
+def check_undersampled(m: int, n_grid: int, stacklevel: int) -> None:
+    """Warn when M samples exceed the N grid points; every operand a solve
+    reads, an observation matrix or the closed form's sensing tables, is
+    checked here when it is made. stacklevel counts from the caller."""
+    if m > n_grid:
+        message = f"M={m} exceeds N={n_grid}; expected the under-sampled regime M <= N"
+        warnings.warn(message, stacklevel=stacklevel + 1)
 
 
 def grid_units(times, interval: float, n_grid: int) -> np.ndarray:

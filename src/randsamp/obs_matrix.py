@@ -39,12 +39,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import check_choice, check_count, csv_text, finite_field, grid_units, read_rows, write
+from .files import check_choice, check_count, check_undersampled, csv_text, finite_field, grid_units, read_rows, write
 from .fourier import PoissonSensing
 
 # Distance from the nearest multiple of N below which the closed-form kernel
@@ -85,9 +84,7 @@ class ObservationMatrix:
         if self.entries.ndim != 2 or self.entries.size == 0:
             raise ValueError(f"entries must be a nonempty 2-D array, got shape {self.entries.shape}")
         _check_finite(self.entries, "observation matrix ")
-        if self.m > self.n_grid:
-            message = f"M={self.m} exceeds N={self.n_grid}; expected the under-sampled regime M <= N"
-            warnings.warn(message, stacklevel=3)  # past this method and the __init__ dataclass writes
+        check_undersampled(self.m, self.n_grid, stacklevel=3)  # past this method and the __init__ dataclass writes
 
     @property
     def m(self) -> int:

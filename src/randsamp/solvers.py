@@ -1,16 +1,12 @@
 """Recovery of sparse spectra and gradient-sparse signals from random samples.
 
-Two solvers, which :func:`solve` runs on one operand as one pipeline step:
+Two solvers, which :func:`solve_group` runs on a group of runs' operands as
+one pipeline step, and :func:`solve` on one run's:
 
-* :func:`omp_recover` -- orthogonal matching pursuit for real signals on the
-  sensing matrix A = M0 Psi* of a real M0, stored real in halfcomplex order
-  (Re a_0, Re a_1, Im a_1, Re a_2, Im a_2, ...). Greedily selects the
-  frequency whose (normalized) column pair best correlates with the residual
-  and takes bins j and N-j. Classical Gram-Schmidt applied twice factors the
-  selected columns as Q R, one column at a time; the residual is y minus its
-  projection onto Q, and back substitution in R gives the coefficients. A
-  column whose orthogonal remainder is at most M * eps times the largest
-  column norm of A raises SingularSystemError.
+* :func:`omp_recover` and :func:`omp_recover_group` -- orthogonal matching
+  pursuit for real signals, on one run or on a group of runs in lock-step;
+  see :mod:`~randsamp.omp`, which defines them, and the results, errors and
+  OMP settings that this module holds too.
 * :func:`tv_recover` -- gradient descent on a smoothed total-variation
   objective, for signals whose variation rather than spectrum is sparse:
   J(x) = 0.5 ||M0 x - y||^2 + lam * sum_n sqrt((x[n+1]-x[n])^2 + eps^2)
@@ -23,73 +19,40 @@ Two solvers, which :func:`solve` runs on one operand as one pipeline step:
   reduced once per block of steps, and the descent returns the iterate at
   which a per-step test would have stopped, bit for bit.
 
-Both are single-threaded and deterministic for fixed inputs.
+Both are deterministic for fixed inputs, and a run's result does not depend
+on the runs solved with it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .files import check_choice, check_count, check_positive
-from .fourier import PoissonSensing, sensing_matrix
+from .fourier import DenseSensing, PoissonSensing, sensing_matrix
+from .omp import (  # the OMP names are held here too, with the TV descent's
+    OmpConfig,
+    OverSelectionError,
+    RecoveryError,
+    RecoveryResult,
+    SingularSystemError,
+    _aligned_empty,
+    _aligned_rows,
+    _measurements,
+    _omp_group,
+    fit_budget,
+    omp_recover,
+    omp_recover_group,
+)
 
 SOLVERS = ("omp", "tv")
-
-
-class RecoveryError(Exception):
-    """A recovery that ended without a result; each subclass keeps its
-    RuntimeError or ValueError base."""
-
-
-class SingularSystemError(RecoveryError, RuntimeError):
-    """The least-squares system on the selected support is rank-deficient."""
-
-    def __init__(self, support):
-        self.support = list(support)
-        super().__init__(f"rank-deficient least-squares system on support {self.support}")
-
-
-class OverSelectionError(RecoveryError, ValueError):
-    """OMP selected more DFT bins than there are measurements."""
 
 
 class NonConvergenceError(RecoveryError, RuntimeError):
     """A descent that failed to converge. No randsamp solver raises it since
     the TV descent took a fixed step; it stays for code that catches it."""
-
-
-@dataclass(frozen=True)
-class OmpConfig:
-    """Stopping rule for orthogonal matching pursuit.
-
-    max_atoms: largest support size, in DFT bins, before stopping, an int
-        or numpy integer >= 1; a frequency adds its bins j and N-j (DC and
-        Nyquist add one), so the final support can exceed it by one bin.
-    residual_tol: stop once ||residual|| <= residual_tol * ||y||.
-    """
-
-    max_atoms: int = 16
-    residual_tol: float = 1e-12
-
-    def __post_init__(self):
-        check_count("max_atoms", self.max_atoms, 1)
-        if not 0.0 <= self.residual_tol < math.inf:
-            raise ValueError(f"residual_tol must be nonnegative and finite, got {self.residual_tol}")
-
-
-def fit_budget(omp: OmpConfig, m: int, n: int) -> OmpConfig:
-    """omp with its max_atoms capped to an M x N problem.
-
-    OMP adds a frequency pair's two bins at once and so can overshoot the
-    budget by one bin; the cap leaves room for that below M, where the
-    over-selection guard would trip, and keeps the budget within N.
-    """
-    cap = min(omp.max_atoms, max(1, m - 1), n)
-    return omp if cap == omp.max_atoms else replace(omp, max_atoms=cap)
 
 
 # tv_recover steps by TV_STEP_ALPHA / L, L the Lipschitz bound of grad J;
@@ -137,26 +100,6 @@ class TvConfig:
         check_count("max_iters", self.max_iters, 1)
 
 
-@dataclass
-class RecoveryResult:
-    """Output of a recovery run.
-
-    recovered: real time-domain signal on the uniform grid.
-    spectrum/support: selected DFT coefficients and bins (OMP only).
-    residual_history: ||residual|| before the first and after each OMP
-        iteration; objective_history: J at the start and after each TV
-        step.
-    """
-
-    recovered: np.ndarray
-    spectrum: np.ndarray | None = None
-    support: list[int] | None = None
-    iterations: int = 0
-    final_residual: float = 0.0
-    residual_history: np.ndarray | None = None
-    objective_history: np.ndarray | None = None
-
-
 def _matrix(name: str, a: np.ndarray) -> np.ndarray:
     """a, checked to be 2-D."""
     if a.ndim != 2:
@@ -169,147 +112,6 @@ def _m0_entries(m0) -> np.ndarray:
     if isinstance(m0, PoissonSensing):
         raise ValueError("m0 must be an ObservationMatrix or an M x N array, got a PoissonSensing, which holds no M0")
     return _matrix("m0", np.asarray(getattr(m0, "entries", m0), dtype=float))
-
-
-def _measurements(y, m: int) -> np.ndarray:
-    """y as a float array, checked to hold M finite values."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (m,):
-        raise ValueError(f"y must hold the M={m} measurements, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError("measurements must be finite")
-    return y
-
-
-class _DenseSensing:
-    """The three reads of :func:`omp_recover`, as on a
-    :class:`~randsamp.fourier.PoissonSensing`, of a real M x N array."""
-
-    def __init__(self, a):
-        self.a, self.shape = a, a.shape
-
-    def sq_norms(self) -> np.ndarray:
-        return np.einsum("ij,ij->j", self.a, self.a)
-
-    def correlate(self, r, out) -> None:
-        np.matmul(r, self.a, out=out)
-
-    def column(self, c: int) -> np.ndarray:
-        return self.a[:, c]
-
-
-def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
-    """Greedy recovery of the real signal behind real measurements y.
-
-    sensing is the real M x N sensing matrix of a real M0 in halfcomplex
-    order (see :mod:`~randsamp.fourier`): Re a_0, then Re a_j and Im a_j in
-    columns 2j - 1 and 2j; either an array or the
-    :class:`~randsamp.fourier.PoissonSensing` that ``poisson_sensing``
-    returns, which is read without forming the matrix. A complex array, an
-    array with a non-finite entry or column norm, or a non-finite y raises
-    ValueError. Per iteration: (1) pick the frequency j maximizing
-    |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins j and N-j,
-    or one bin for DC and Nyquist; (2) orthogonalize its columns
-    Re a_j and Im a_j (Re a_j alone for DC and Nyquist) against those
-    selected before, by classical Gram-Schmidt applied twice, which extends
-    a[:, S] = Q R over the selected columns S; (3) project y onto Q for the
-    residual. Stops when the support reaches cfg.max_atoms bins or the
-    residual drops below cfg.residual_tol * ||y||; back substitution in
-    R c = Q^T y then gives the coefficients, whose residual is the last one
-    tracked.
-    A support that outgrows the M measurements raises OverSelectionError. A
-    column whose orthogonal remainder is at most M * eps * max_j ||a[:, j]||,
-    the rounding floor of a, raises SingularSystemError at that iteration.
-    The spectrum is Hermitian by construction, and the time-domain output is
-    its inverse real FFT. An array that is not 2-D, a y of other than M
-    values, or a cfg.max_atoms above N raises ValueError giving the sizes.
-    """
-    if isinstance(sensing, PoissonSensing):
-        a = sensing
-    else:
-        a = np.asarray(sensing)
-        if np.iscomplexobj(a):
-            raise ValueError("sensing matrix must be real, with Re a_j and Im a_j in separate columns")
-        a = _DenseSensing(_matrix("sensing", a))
-    y = _measurements(y, a.shape[0])
-    m, n = a.shape
-    if cfg.max_atoms > n:
-        raise ValueError(f"max_atoms={cfg.max_atoms} exceeds the N={n} columns")
-    h = n // 2 + 1
-    self_paired = [0] if n % 2 else [0, n // 2]  # bins that are their own partner
-
-    # Column c of a is slot c + 1 of `slots`, read as the complex `pairs`:
-    # pair j holds the values of Re a_j and Im a_j, and the slots with no
-    # column (DC's first, even-N Nyquist's last) stay zero.
-    slots = np.zeros(2 * h)
-    pairs = slots.view(complex)
-    sq_norms = a.sq_norms()
-    if not np.isfinite(sq_norms).all():
-        raise ValueError("sensing matrix entries and their column norms must be finite")
-    slots[1 : n + 1] = sq_norms
-    col_norms = np.sqrt(pairs.real + pairs.imag)
-    col_norms = np.where(col_norms > 0.0, col_norms, 1.0)
-    singular_tol = m * np.finfo(float).eps * math.sqrt(sq_norms.max())
-    y_norm = math.sqrt(y.dot(y))
-    residual = y
-    basis = np.empty((min(cfg.max_atoms + 1, m), m))  # orthonormal rows, one per column picked
-    r = np.zeros((len(basis), len(basis)))  # a[:, columns] = basis.T @ r, r upper triangular
-    score = np.empty(h)
-    is_picked = np.zeros(h, dtype=bool)
-    picked: list[int] = []  # frequencies
-    support: list[int] = []  # their DFT bins
-    columns: list[int] = []  # their columns of a, one per real unknown
-    history = [y_norm]
-
-    while history[-1] > cfg.residual_tol * y_norm and len(support) < cfg.max_atoms:
-        a.correlate(residual, slots[1 : n + 1])
-        np.abs(pairs, out=score)
-        np.divide(score, col_norms, out=score)
-        np.putmask(score, is_picked, -1.0)
-        pick = int(score.argmax())
-        is_picked[pick] = True
-        picked.append(pick)
-        new = [c for c in (2 * pick - 1, 2 * pick) if 0 <= c < n]
-        support += [pick, n - pick] if len(new) == 2 else [pick]
-        if len(support) > m:
-            raise OverSelectionError(f"support size {len(support)} exceeds the {m} measurements")
-        for c in new:
-            k = len(columns)
-            q = basis[:k]
-            column = a.column(c)
-            projection = q @ column
-            v = column - projection @ q
-            correction = q @ v
-            v -= correction @ q
-            r[:k, k] = projection + correction
-            r[k, k] = math.sqrt(v @ v)
-            if r[k, k] <= singular_tol:
-                raise SingularSystemError(support)
-            np.divide(v, r[k, k], out=basis[k])
-            columns.append(c)
-        q = basis[: len(columns)]
-        residual = y - (q @ y) @ q
-        history.append(math.sqrt(residual.dot(residual)))
-
-    k = len(columns)  # r is triangular, so solve's LU is back substitution
-    coeffs = np.linalg.solve(r[:k, :k], basis[:k] @ y)
-
-    # y = sum_j 2 Re(a_j c_j) over the pairs plus a_j c_j at DC and Nyquist,
-    # so c_j = (alpha_j - i beta_j) / 2 for the weights of Re a_j and Im a_j,
-    # laid out in `slots` with DC's weight moved to its Re slot.
-    slots[:] = 0.0
-    slots[1:][columns] = coeffs
-    slots[:2] = slots[1], 0.0
-    half = 0.5 * pairs.conj()
-    half[self_paired] *= 2.0
-    return RecoveryResult(
-        recovered=np.fft.irfft(half, n=n, norm="ortho"),
-        spectrum=np.concatenate((half, half[n - h : 0 : -1].conj())),
-        support=support,
-        iterations=len(picked),
-        final_residual=history[-1],
-        residual_history=np.asarray(history),
-    )
 
 
 def total_variation(x, epsilon: float) -> float:
@@ -327,23 +129,6 @@ def tv_gradient(x, epsilon: float) -> np.ndarray:
     d = np.roll(x, -1) - x
     w = d / np.sqrt(d * d + epsilon * epsilon)
     return np.roll(w, 1) - w
-
-
-def _aligned_empty(shape) -> np.ndarray:
-    """An uninitialised C-ordered float array whose data starts on a 64-byte
-    cache line, cut from an over-allocated byte buffer."""
-    nbytes = 8 * math.prod(shape)
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start : start + nbytes].view(float).reshape(shape)
-
-
-def _aligned_rows(rows: int, length: int) -> np.ndarray:
-    """An uninitialised rows x length float array each of whose rows starts
-    on a 64-byte cache line. An OpenBLAS dot kernel may sum a vector that
-    starts off a 16-byte boundary in another order (OPENBLAS_CORETYPE=Prescott
-    does), so each row is read as a fresh array would be."""
-    return _aligned_empty((rows, -(-length // 8) * 8))[:, :length]
 
 
 def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult:
@@ -410,8 +195,8 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
     # Row k of a block's buffers belongs to its k-th iterate. A row of xs is
     # x with a halo column equal to x[0], so d = D x is one subtraction; w
     # has a head halo equal to w[-1], so D^T w is one too.
-    xs = _aligned_rows(_TV_BLOCK + 1, n + 1)
-    rs, ss, gs = _aligned_rows(_TV_BLOCK, m), _aligned_rows(_TV_BLOCK, n), _aligned_rows(_TV_BLOCK, n)
+    xs = _aligned_rows((_TV_BLOCK + 1, n + 1))[0]
+    rs, ss, gs = (_aligned_rows((_TV_BLOCK, length))[0] for length in (m, n, n))
     d, w, tv_grad = np.empty(n), np.empty(n + 1), np.empty(n)
     w_prev, w_next = w[:n], w[1:]
     rows = [(xs[k, :n], xs[k, 1:], xs[k + 1, :n], xs[k + 1], rs[k], ss[k], gs[k]) for k in range(_TV_BLOCK)]
@@ -461,15 +246,35 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
 
 
 def solve(solver: str, operand, y, omp: OmpConfig, tv: TvConfig) -> RecoveryResult:
-    """:func:`omp_recover` on the sensing matrix of operand, then for solver
-    "tv" :func:`tv_recover` on operand as M0 from the OMP reconstruction,
-    which pins the transitions so the descent only flattens the ripples
-    between them. operand is an ObservationMatrix, or for "omp" alone the
-    PoissonSensing of ``poisson_sensing``, which holds no M0. A solver not in
-    SOLVERS, and for "tv" an operand without M0, raise ValueError before any
-    OMP work."""
+    """One run of :func:`solve_group`, whose failure is raised. operand is
+    an ObservationMatrix, or for "omp" alone the one-run PoissonSensing of
+    ``poisson_sensing``."""
+    group = operand if isinstance(operand, PoissonSensing) else [operand]
+    (outcome,) = solve_group(solver, group, np.asarray(y, dtype=float)[None], omp, tv)
+    if isinstance(outcome, RecoveryError):
+        raise outcome
+    return outcome
+
+
+def solve_group(solver: str, operands, ys, omp: OmpConfig, tv: TvConfig) -> list[RecoveryResult | RecoveryError]:
+    """:func:`omp_recover_group` on the sensing matrices of G runs'
+    operands, then for solver "tv" :func:`tv_recover` on each run's operand
+    as M0 from its OMP reconstruction, which pins the transitions so the
+    descent only flattens the ripples between them: run g's result, or the
+    RecoveryError that ended it, at index g. operands is a list of G
+    ObservationMatrix of one shape, or for "omp" alone the PoissonSensing of
+    ``poisson_sensing`` at the G runs' times, which holds no M0; ys is
+    G x M. A solver not in SOLVERS, and for "tv" an operand without M0,
+    raise ValueError before any OMP work."""
     check_choice("solver", solver, SOLVERS)
-    m0 = _m0_entries(operand) if solver == "tv" else None
-    sensing = operand if isinstance(operand, PoissonSensing) else sensing_matrix(operand)
-    result = omp_recover(sensing, y, omp)
-    return result if m0 is None else tv_recover(m0, y, tv, x_init=result.recovered)
+    m0s = None
+    if solver == "tv":
+        m0s = [_m0_entries(operand) for operand in (operands if isinstance(operands, list) else [operands])]
+    sensing = operands if isinstance(operands, PoissonSensing) else DenseSensing(sensing_matrix(list(operands)))
+    outcomes = _omp_group(sensing, ys, omp)
+    if m0s is None:
+        return outcomes
+    return [
+        outcome if isinstance(outcome, RecoveryError) else tv_recover(m0, y, tv, x_init=outcome.recovered)
+        for m0, y, outcome in zip(m0s, ys, outcomes)
+    ]

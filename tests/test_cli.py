@@ -40,6 +40,14 @@ class TestExperimentCommand:
         assert proc.returncode == 0, proc.stderr
         assert float(out.read_text().splitlines()[-1].split(",")[7]) > 0.2
 
+    @pytest.mark.parametrize("matrix", ["naive", "poisson"])
+    def test_more_samples_than_grid_warns_for_every_matrix(self, run_cli, matrix):
+        # OMP on a poisson matrix reads the closed form's tables and builds
+        # no M0; it warns as the M0 of the other methods does.
+        proc = run_cli("experiment", "--preset", "trig", "--runs", "1", "--m", "300", "--matrix", matrix)
+        assert proc.returncode == 0, proc.stderr
+        assert "M=300 exceeds N=256" in proc.stderr
+
     def test_stdout_when_no_out(self, run_cli):
         proc = run_cli("experiment", "--preset", "trig", "--runs", "2", "--seed", "1")
         assert proc.returncode == 0

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,13 +203,14 @@ class TestPoissonSensing:
         dense = np.asarray(op)
         assert op.shape == dense.shape == (len(times), n)
         r = rng.standard_normal(len(times))
-        out = np.empty(n)
-        op.correlate(r, out)
+        out = halfcomplex(op.correlate(r)[None], n)[0]
         assert np.max(np.abs(out - r @ dense)) <= 1e-15 * np.abs(r).sum() / math.sqrt(n)
         sq_norms = np.einsum("ij,ij->j", dense, dense)
         assert np.max(np.abs(op.sq_norms() - sq_norms)) <= 1e-14 * sq_norms.max()
+        atom = np.empty((1, len(times)), dtype=complex)  # a_j, for the one run
         for c in range(n):
-            assert np.array_equal(op.column(c), dense[:, c])
+            op.atom(np.array([(c + 1) // 2]), atom)
+            assert np.array_equal(atom[0].imag if c and c % 2 == 0 else atom[0].real, dense[:, c])
 
     def test_large_grid_held_in_factors(self):
         # M = N/10 at N = 2^16, where the dense matrix takes 3.4 GB: the
@@ -217,12 +219,13 @@ class TestPoissonSensing:
         n, m = 2**16, 6554
         rng = np.random.default_rng(16)
         u = rng.uniform(0.0, float(n), size=m)
+        tracemalloc.start()
         op = poisson_sensing(u, 1.0, n)
-        held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray) and v.base is None)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
         assert held < 64e6
         r = rng.standard_normal(m)
-        out = np.empty(n)
-        op.correlate(r, out)
+        out = halfcomplex(op.correlate(r)[None], n)[0]
         k = np.round(u)
         f = u - k
         k = (k % n).astype(np.int64)

@@ -7,8 +7,8 @@ import pytest
 
 from dft_reference import dft_matrix, real_dft_basis
 from omp_reference import omp_reference
-from randsamp import solvers
-from randsamp.experiments import ExperimentConfig, derive_run_seed, resolve_plan
+from randsamp import experiments, solvers
+from randsamp.experiments import ExperimentConfig, derive_run_seed, reconstruct_once, resolve_plan, run_experiment
 from randsamp.fourier import dft_adjoint, poisson_sensing, sensing_matrix
 from randsamp.obs_matrix import ObservationMatrix, build_poisson
 from randsamp.signals import TrigSignal, draw_random_times, uniform_samples
@@ -245,6 +245,57 @@ def test_omp_on_factors_equals_omp_on_dense_form(seed, rate):
         assert factored.support == dense.support
         assert np.array_equal(factored.recovered, dense.recovered)
         assert np.array_equal(factored.residual_history, dense.residual_history)
+
+
+class TestGroupIndependence:
+    """OMP solves a batch's runs in lock-step groups. A run's support,
+    iterations, residual history and recovered signal are the same bits
+    alone (reconstruct_once), inside a 12-run run_experiment solved as one
+    group, and in a group that also holds a run that fails."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"preset": "gauspuls"},
+            {"preset": "gauspuls", "sample_rate": 9.99e6},
+            {"preset": "trig"},
+            {"preset": "trig", "method": "naive"},
+        ],
+        ids=["gauspuls-10MHz", "gauspuls-9.99MHz", "trig-poisson", "trig-naive"],
+    )
+    def test_run_does_not_depend_on_its_group(self, overrides, monkeypatch):
+        cfg = ExperimentConfig(runs=12, master_seed=7, **overrides)
+        plan = resolve_plan(cfg)
+        batches = []
+
+        def kept(*args):
+            batches.append(solve(*args))
+            return batches[-1]
+
+        solve = experiments.solve_group
+        monkeypatch.setattr(experiments, "GROUP_BYTES", 10**9)  # the 12 runs as one group
+        monkeypatch.setattr(experiments, "solve_group", kept)
+        report = run_experiment(cfg)
+        (batch,) = batches
+
+        # The same runs with a 13th among them whose samples all fall at one
+        # time: its columns are constant, so its second frequency's columns
+        # are not independent of its first, and it fails while the others go on.
+        draws = [experiments._draw(cfg, plan, run_id) for run_id in range(cfg.runs)]
+        times = np.array([draw[2] for draw in draws])
+        ys = np.array([draw[3] for draw in draws])
+        times, ys = np.insert(times, 5, times[0, 0], axis=0), np.insert(ys, 5, ys[0], axis=0)
+        mixed = solve(plan.solver, experiments._operand(cfg, plan, times), ys, plan.omp, plan.tv)
+        assert isinstance(mixed.pop(5), SingularSystemError)
+
+        for run_id in range(cfg.runs):
+            alone = reconstruct_once(cfg, run_id)
+            assert alone.error == report.records[run_id].error
+            for other in (batch[run_id], mixed[run_id]):
+                assert other.support == alone.result.support
+                assert other.iterations == alone.result.iterations
+                assert np.array_equal(other.residual_history, alone.result.residual_history)
+                assert np.array_equal(other.recovered, alone.result.recovered)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

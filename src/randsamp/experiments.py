@@ -282,16 +282,15 @@ def _draw(cfg: ExperimentConfig, plan: ResolvedPlan, run_id: int) -> tuple:
     return run_id, seed, times, plan.signal(times)
 
 
-def _operand(cfg: ExperimentConfig, plan: ResolvedPlan, times, reuse=None):
+def _operand(cfg: ExperimentConfig, plan: ResolvedPlan, times):
     """What the solve of the runs at times (M of them for one run, G x M
     for a group) reads: M0, one per run, or for OMP on ``poisson``
-    :func:`poisson_sensing`'s factor tables, stacked for a group, in the
-    buffers of the previous group's tables reuse if given."""
+    :func:`poisson_sensing`'s factor tables, stacked for a group."""
     # The matrix kernel places grid point n at time n*interval, so sample
     # times are passed relative to the grid origin.
     grid_times = times - plan.t0
     if plan.solver == "omp" and cfg.method == "poisson":
-        return poisson_sensing(grid_times, plan.interval, plan.n_grid, reuse)
+        return poisson_sensing(grid_times, plan.interval, plan.n_grid)
     if grid_times.ndim == 1:
         return build(cfg.method, grid_times, plan.interval, plan.n_grid, cfg.p_terms)
     return [build(cfg.method, one, plan.interval, plan.n_grid, cfg.p_terms) for one in grid_times]
@@ -302,19 +301,19 @@ def _records(cfg: ExperimentConfig, plan: ResolvedPlan, reference) -> list[RunRe
     in groups of nearly equal size, at most :func:`_group_size` runs each.
     A run whose solver failed has error NaN.
 
-    A group builds one operand for all its runs and solves them with
-    :func:`solve_group`; a run's build_time_s and solve_time_s are its
-    share of the group's build and of its solve and scoring.
+    A group builds one operand for all its runs, once the previous group's
+    is released, and solves them with :func:`solve_group`; a run's
+    build_time_s and solve_time_s are its share of the group's build and of
+    its solve and scoring.
     """
     draws = [_draw(cfg, plan, run_id) for run_id in range(cfg.runs)]
     count = -(-cfg.runs // _group_size(cfg, plan))
-    size, larger = divmod(cfg.runs, count)
-    # The larger groups first: each later group's tables then fit in the first's buffers.
-    bounds = np.cumsum([0] + [size + 1] * larger + [size] * (count - larger))
-    records, operand = [], None
-    for group in (draws[start:end] for start, end in zip(bounds, bounds[1:])):
+    records = []
+    for k in range(count):
+        operand = None  # the previous group's, freed before this group's is built
+        group = draws[k * cfg.runs // count : (k + 1) * cfg.runs // count]
         tic = time.perf_counter()
-        operand = _operand(cfg, plan, np.array([times for _, _, times, _ in group]), operand)
+        operand = _operand(cfg, plan, np.array([times for _, _, times, _ in group]))
         build_time = (time.perf_counter() - tic) / len(group)
         tic = time.perf_counter()
         ys = np.array([values for *_, values in group])

@@ -69,57 +69,44 @@ class PoissonSensing:
     phase j u / N is ((j k mod N) + j f) / N, the product j k reduced
     exactly in integers.
 
-    The reads of :func:`~randsamp.omp.omp_recover_group` take every run
-    of the group at once and cost O(M sqrt(N)) memory per run: a
-    correlation is coarse^T diag(r) fine, taken as a stacked real product
-    in two passes over the group, and an atom, a frequency's two columns,
-    the product of a coarse and a fine column. An instance holds one group's
-    tables, which :meth:`load` refills in place for the next group of as
-    many runs or fewer, and the work buffers of its correlations, which
-    serve one solve at a time; a solve whose runs end apart reads the runs
-    still going through :meth:`select`, which shares them.
+    OMP's reads (see :mod:`~randsamp.omp`) take every run of the group at
+    once and cost O(M sqrt(N)) memory per run: a correlation is
+    coarse^T diag(r) fine, taken as a stacked real product in two passes
+    over the group, and an atom, a frequency's two columns, the product of a
+    coarse and a fine column. An instance holds one group's tables and the
+    work buffers of its correlations, which serve one solve at a time; a
+    solve whose runs end apart reads the runs still going through
+    :meth:`select`, which shares the work buffers.
     """
 
     def __init__(self, u, n_grid: int):
         u = np.asarray(u, dtype=float)
-        g, m = u.reshape(-1, u.shape[-1]).shape
+        runs = u.reshape(-1, u.shape[-1])
+        g, m = runs.shape
         h = n_grid // 2 + 1
         b = math.isqrt(h - 1) + 1
         c = -(-h // b)
-        self.n_grid = n_grid
-        # The tables and the correlations for g runs, of which load fills a
-        # prefix, and the fine table scaled by a residual and the real
-        # products for half as many: a correlation takes two passes.
+        self.n_grid, self.shape = n_grid, u.shape + (n_grid,)
+        # The tables and the correlations of the g runs, and the fine table
+        # scaled by a residual and the real products for half as many: a
+        # correlation takes two passes.
         half = -(-g // 2)
         shapes = ((g, m, c), (g, m, b), (g, c, b), (half, m, b), (half, 2 * c, b))
         # One allocation holds them all: freed whole, the allocator keeps it
         # for the next instance rather than handing its pages back.
         whole = np.empty(sum(math.prod(shape) for shape in shapes), dtype=complex)
         parts = np.split(whole, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-        coarse, fine, correlations, self._scaled, products = (part.reshape(shape) for part, shape in zip(parts, shapes))
-        self._buffers = (coarse, fine, correlations)
+        self.coarse, self.fine, self._correlations, self._scaled, products = (
+            part.reshape(shape) for part, shape in zip(parts, shapes)
+        )
         self._products = products.view(float)
-        self.load(u)
-
-    def load(self, u) -> PoissonSensing:
-        """Refill the tables for the times u in grid units, of the M the
-        instance was made for and at most as many runs, in its buffers;
-        returns the instance."""
-        u = np.asarray(u, dtype=float)
-        runs = u.reshape(-1, u.shape[-1])
-        if runs.shape[0] > len(self._buffers[0]) or runs.shape[1] != self._buffers[0].shape[1]:
-            raise ValueError(f"times of shape {u.shape} do not fit the tables of shape {self._buffers[0].shape[:2]}")
-        n_grid = self.n_grid
-        self.shape = u.shape + (n_grid,)
-        self.coarse, self.fine, self._correlations = (buffer[: len(runs)] for buffer in self._buffers)
-        self._passes = self._pass_slices(len(runs))
-        b = self.fine.shape[2]
+        self._passes = self._pass_slices(g)
         k = np.round(runs)
         f = runs - k
         k %= n_grid  # exact, so the integer products below cannot overflow
         k = k.astype(np.int64)
         phases, jks = np.empty((2, *self.fine.shape))  # the phases and the integer products j k
-        for table, j in ((self.coarse, b * np.arange(self.coarse.shape[2])), (self.fine, np.arange(b))):
+        for table, j in ((self.coarse, b * np.arange(c)), (self.fine, np.arange(b))):
             phase = phases.reshape(-1)[: table.size].reshape(table.shape)
             jk = jks.reshape(-1)[: table.size].view(np.int64).reshape(table.shape)
             np.multiply(k[:, :, None], j, out=jk)
@@ -134,7 +121,6 @@ class PoissonSensing:
             np.sin(phase, out=table.imag)
         # numpy divides a complex by a real as a product with its reciprocal
         np.multiply(self.fine.view(float), 1.0 / math.sqrt(n_grid), out=self.fine.view(float))
-        return self
 
     def select(self, runs) -> PoissonSensing:
         """The group's runs at the indices runs, in that order, as a new
@@ -144,7 +130,7 @@ class PoissonSensing:
         out.n_grid, out.shape = self.n_grid, (len(runs),) + self.shape[-2:]
         out.coarse, out.fine = self.coarse[runs], self.fine[runs]
         out._correlations = self._correlations[: len(runs)].copy()
-        out._buffers, out._scaled, out._products = (out.coarse, out.fine, out._correlations), self._scaled, self._products
+        out._scaled, out._products = self._scaled, self._products
         out._passes = out._pass_slices(len(runs))
         return out
 
@@ -212,9 +198,8 @@ class PoissonSensing:
 
 
 class DenseSensing:
-    """The reads of :func:`~randsamp.omp.omp_recover_group`, as on a
-    :class:`PoissonSensing`, of a real G x M x N array a of sensing
-    matrices in the layout above."""
+    """OMP's reads, as on a :class:`PoissonSensing`, of a real G x M x N
+    array a of sensing matrices in the layout above."""
 
     def __init__(self, a):
         self.a, self.shape = a, a.shape
@@ -236,24 +221,18 @@ class DenseSensing:
         out.imag = self.a[runs, :, np.minimum(2 * j, n - 1)]  # not read for DC and Nyquist
 
 
-def poisson_sensing(times, interval: float, n_grid: int, reuse: PoissonSensing | None = None) -> PoissonSensing:
+def poisson_sensing(times, interval: float, n_grid: int) -> PoissonSensing:
     """Real sensing matrix of ``build_poisson(times, interval, n_grid)``: by
     Poisson summation, the atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T,
     with phases reduced exactly. Times are measured from the grid origin, as
     for ``build_poisson``: M of them for one run, or a G x M array for a
     group of G runs, whose matrices are held stacked. More than N sample
-    times per run warn, as for an observation matrix. Given reuse, an
-    instance made for this M and N and as many runs or more, its buffers take
-    the new tables and it is returned.
+    times per run warn, as for an observation matrix.
     """
     times = np.asarray(times, dtype=float)
     u = grid_units(times.ravel() if times.ndim == 2 else times, interval, n_grid).reshape(times.shape)
-    if reuse is None:
-        check_undersampled(times.shape[-1], n_grid, stacklevel=2)
-        return PoissonSensing(u, n_grid)
-    if reuse.n_grid != n_grid:
-        raise ValueError(f"reuse holds tables for N={reuse.n_grid}, not N={n_grid}")
-    return reuse.load(u)
+    check_undersampled(times.shape[-1], n_grid, stacklevel=2)
+    return PoissonSensing(u, n_grid)
 
 
 def sensing_matrix(m0) -> np.ndarray:
@@ -261,16 +240,17 @@ def sensing_matrix(m0) -> np.ndarray:
     being the Re and Im parts of the adjoint DFT's columns: the conjugated
     real FFT of M0's rows, whose bin j is a_j. For a ``poisson`` M0 it
     matches :func:`poisson_sensing` at the sample times to ~1e-16. A list of
-    G M0s of one shape gives their matrices stacked, G x M x N, each as it
-    would be alone.
+    G M0s of one shape, each an ObservationMatrix or its M x N entries,
+    gives their matrices stacked, G x M x N, each as it would be alone.
     """
     if not isinstance(m0, list):
         half = np.fft.rfft(m0.entries, axis=1, norm="ortho")
         return _halfcomplex(np.conjugate(half, out=half), m0.n_grid)
-    shape = m0[0].entries.shape
-    if any(one.entries.shape != shape for one in m0):
-        raise ValueError(f"a group's M0s must have one shape, got {[one.entries.shape for one in m0]}")
+    entries = [getattr(one, "entries", one) for one in m0]
+    shape = entries[0].shape
+    if any(one.shape != shape for one in entries):
+        raise ValueError(f"a group's M0s must have one shape, got {[one.shape for one in entries]}")
     half = np.empty((len(m0), shape[0], shape[1] // 2 + 1), dtype=complex)
-    for out, one in zip(half, m0):
-        out[...] = np.fft.rfft(one.entries, axis=1, norm="ortho")
+    for out, one in zip(half, entries):
+        out[...] = np.fft.rfft(one, axis=1, norm="ortho")
     return _halfcomplex(np.conjugate(half, out=half), shape[1])

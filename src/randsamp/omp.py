@@ -1,16 +1,16 @@
 """Orthogonal matching pursuit for real signals, on groups of runs in lock-step.
 
-:func:`omp_recover_group` recovers G runs of one M and N at once, on the
-sensing matrix A = M0 Psi* of each run's real M0, stored real in
-halfcomplex order (Re a_0, Re a_1, Im a_1, Re a_2, Im a_2, ...); the runs
-advance together, each step one stacked numpy call for the group.
-:func:`omp_recover` is one run of it. Each step greedily selects the
-frequency whose (normalized) column pair best correlates with the residual
-and takes bins j and N-j. Classical Gram-Schmidt applied twice factors the
-selected columns as Q R; the residual is y minus its projection onto Q, and
-back substitution in R gives the coefficients. A column whose orthogonal
-remainder is at most M * eps times the largest column norm of A ends its
-run with SingularSystemError.
+:func:`omp_recover` recovers one run on the sensing matrix A = M0 Psi* of
+its real M0, stored real in halfcomplex order (Re a_0, Re a_1, Im a_1,
+Re a_2, Im a_2, ...). It is a group of one of the lock-step solve that
+:func:`~randsamp.solvers.solve_group` runs on G runs of one M and N at
+once, each step one stacked numpy call for the group. Each step greedily
+selects the frequency whose (normalized) column pair best correlates with
+the residual and takes bins j and N-j. Classical Gram-Schmidt applied twice
+factors the selected columns as Q R; the residual is y minus its projection
+onto Q, and back substitution in R gives the coefficients. A column whose
+orthogonal remainder is at most M * eps times the largest column norm of A
+ends its run with SingularSystemError.
 
 The results, errors and settings of every solver are defined here, and
 :mod:`~randsamp.solvers` holds them all with the TV descent.
@@ -128,58 +128,41 @@ def _aligned_rows(*shapes) -> list[np.ndarray]:
     return out
 
 
-def _group_sensing(sensing, ndim: int):
-    """sensing as the reads of omp_recover_group: a PoissonSensing of one
-    run (ndim 2) or a group (ndim 3) as it is, an array, checked to be real
-    with ndim axes, in a DenseSensing."""
+def _group_sensing(sensing):
+    """sensing as the reads of a lock-step solve of one run: a one-run
+    PoissonSensing as it is, an array, checked to be a real 2-D matrix, in a
+    DenseSensing."""
     if isinstance(sensing, PoissonSensing):
-        if len(sensing.shape) != ndim:
-            raise ValueError(f"sensing must hold {'one run' if ndim == 2 else 'a group of runs'}, got shape {sensing.shape}")
+        if len(sensing.shape) != 2:
+            raise ValueError(f"sensing must hold one run, got shape {sensing.shape}")
         return sensing
     a = np.asarray(sensing)
     if np.iscomplexobj(a):
         raise ValueError("sensing matrix must be real, with Re a_j and Im a_j in separate columns")
-    if a.ndim != ndim:
-        raise ValueError(f"sensing must be {'a 2-D M x N matrix' if ndim == 2 else 'a 3-D G x M x N array'}, got shape {a.shape}")
-    return DenseSensing(a if ndim == 3 else a[None])
+    if a.ndim != 2:
+        raise ValueError(f"sensing must be a 2-D M x N matrix, got shape {a.shape}")
+    return DenseSensing(a[None])
 
 
 def omp_recover(sensing, y, cfg: OmpConfig = OmpConfig()) -> RecoveryResult:
-    """Greedy recovery of the real signal behind real measurements y: one
-    run of :func:`omp_recover_group`, whose failure is raised.
+    """Greedy recovery of the real signal behind real measurements y, by
+    orthogonal matching pursuit; a failure is raised.
 
     sensing is the real M x N sensing matrix of a real M0 in halfcomplex
     order (see :mod:`~randsamp.fourier`): Re a_0, then Re a_j and Im a_j in
     columns 2j - 1 and 2j; either an array or the one-run
     :class:`~randsamp.fourier.PoissonSensing` that ``poisson_sensing``
     returns, which is read without forming the matrix. An array that is not
-    2-D, or a y of other than M finite values, raises ValueError giving the
-    sizes, and so do the inputs :func:`omp_recover_group` refuses.
-    """
-    a = _group_sensing(sensing, 2)
-    (outcome,) = _omp_group(a, _measurements(y, a.shape[-2])[None], cfg)
-    if isinstance(outcome, RecoveryError):
-        raise outcome
-    return outcome
-
-
-def omp_recover_group(sensing, ys, cfg: OmpConfig = OmpConfig()) -> list[RecoveryResult | RecoveryError]:
-    """Orthogonal matching pursuit on G runs of one M and N in lock-step:
-    run g's RecoveryResult, or the RecoveryError that ended it, at index g.
-
-    sensing holds the G runs' real M x N sensing matrices (see
-    :func:`omp_recover`): a G x M x N array, or the PoissonSensing of a group
-    that ``poisson_sensing`` returns for G x M times; ys is G x M. A complex
-    array, an array with a non-finite entry or column norm, non-finite
-    measurements, or a cfg.max_atoms above N raises ValueError. Per
-    iteration, for every run still going: (1) pick the frequency j
+    2-D or is complex, an entry or column norm that is not finite, a y of
+    other than M finite values, or a cfg.max_atoms above N raises
+    ValueError giving the sizes. Per iteration: (1) pick the frequency j
     maximizing |<a_j/||a_j||, r>| (ties break to the lowest j) and add bins
     j and N-j, or one bin for DC and Nyquist; (2) orthogonalize its columns
     Re a_j and Im a_j against those selected before, by classical
     Gram-Schmidt applied twice, which extends a[:, S] = Q R over the
     selected columns S; DC and Nyquist take a zero row of Q with R's
     diagonal 1 in place of Im a_j, so that every run has two rows per
-    frequency; (3) project y onto Q for the residual. A run stops when its
+    frequency; (3) project y onto Q for the residual. The run stops when its
     support reaches cfg.max_atoms bins or its residual drops below
     cfg.residual_tol * ||y||; back substitution in R c = Q^T y then gives
     its coefficients, whose residual is the last one tracked. A support that
@@ -188,16 +171,25 @@ def omp_recover_group(sensing, ys, cfg: OmpConfig = OmpConfig()) -> list[Recover
     the rounding floor of a, with SingularSystemError at that iteration.
     The spectrum is Hermitian by construction, and the time-domain output is
     its inverse real FFT.
+    """
+    a = _group_sensing(sensing)
+    (outcome,) = _omp_group(a, _measurements(y, a.shape[-2])[None], cfg)
+    if isinstance(outcome, RecoveryError):
+        raise outcome
+    return outcome
+
+
+def _omp_group(a, ys, cfg: OmpConfig) -> list[RecoveryResult | RecoveryError]:
+    """The pursuit of :func:`omp_recover` on G runs of one M and N in
+    lock-step: run g's RecoveryResult, or the RecoveryError that ended it,
+    at index g. a holds the G runs' sensing matrices as a DenseSensing or a
+    PoissonSensing, and ys is G x M.
 
     Each step is one stacked numpy call for the whole group, whose items
     are the products one run alone takes, on rows that start on a cache
     line wherever they sit; so a run's result does not depend on the runs
     solved with it.
     """
-    return _omp_group(_group_sensing(sensing, 3), ys, cfg)
-
-
-def _omp_group(a, ys, cfg: OmpConfig) -> list[RecoveryResult | RecoveryError]:
     g, m, n = (1, *a.shape) if len(a.shape) == 2 else a.shape
     ys = np.asarray(ys, dtype=float)
     if ys.shape != (g, m):
@@ -215,7 +207,7 @@ def _omp_group(a, ys, cfg: OmpConfig) -> list[RecoveryResult | RecoveryError]:
 
 
 def _omp_lock_step(a, ys, g: int, cfg: OmpConfig) -> tuple[list, list]:
-    """The loop of :func:`omp_recover_group`: each run's RecoveryError, or
+    """The loop of :func:`_omp_group`: each run's RecoveryError, or
     None where it stopped, and per set of runs that stopped together their
     ids and what :func:`_omp_results` takes. Slot i of every state array
     holds run ids[i]. When runs stop or fail, the runs still going move up

@@ -3,10 +3,10 @@
 Two solvers, which :func:`solve_group` runs on a group of runs' operands as
 one pipeline step, and :func:`solve` on one run's:
 
-* :func:`omp_recover` and :func:`omp_recover_group` -- orthogonal matching
-  pursuit for real signals, on one run or on a group of runs in lock-step;
-  see :mod:`~randsamp.omp`, which defines them, and the results, errors and
-  OMP settings that this module holds too.
+* :func:`omp_recover` -- orthogonal matching pursuit for real signals, run
+  by :func:`solve_group` on a group of runs in lock-step; see
+  :mod:`~randsamp.omp`, which defines it, and the results, errors and OMP
+  settings that this module holds too.
 * :func:`tv_recover` -- gradient descent on a smoothed total-variation
   objective, for signals whose variation rather than spectrum is sparse:
   J(x) = 0.5 ||M0 x - y||^2 + lam * sum_n sqrt((x[n+1]-x[n])^2 + eps^2)
@@ -44,7 +44,6 @@ from .omp import (  # the OMP names are held here too, with the TV descent's
     _omp_group,
     fit_budget,
     omp_recover,
-    omp_recover_group,
 )
 
 SOLVERS = ("omp", "tv")
@@ -247,32 +246,38 @@ def tv_recover(m0, y, cfg: TvConfig = TvConfig(), x_init=None) -> RecoveryResult
 
 def solve(solver: str, operand, y, omp: OmpConfig, tv: TvConfig) -> RecoveryResult:
     """One run of :func:`solve_group`, whose failure is raised. operand is
-    an ObservationMatrix, or for "omp" alone the one-run PoissonSensing of
-    ``poisson_sensing``."""
-    group = operand if isinstance(operand, PoissonSensing) else [operand]
-    (outcome,) = solve_group(solver, group, np.asarray(y, dtype=float)[None], omp, tv)
+    an ObservationMatrix or a bare M x N array, or for "omp" alone the
+    one-run PoissonSensing of ``poisson_sensing``; a y of other than M
+    finite values raises ValueError."""
+    if isinstance(operand, PoissonSensing):
+        group, m = operand, operand.shape[-2]
+    else:
+        group = [_m0_entries(operand)]
+        m = group[0].shape[0]
+    (outcome,) = solve_group(solver, group, _measurements(y, m)[None], omp, tv)
     if isinstance(outcome, RecoveryError):
         raise outcome
     return outcome
 
 
 def solve_group(solver: str, operands, ys, omp: OmpConfig, tv: TvConfig) -> list[RecoveryResult | RecoveryError]:
-    """:func:`omp_recover_group` on the sensing matrices of G runs'
-    operands, then for solver "tv" :func:`tv_recover` on each run's operand
-    as M0 from its OMP reconstruction, which pins the transitions so the
-    descent only flattens the ripples between them: run g's result, or the
-    RecoveryError that ended it, at index g. operands is a list of G
-    ObservationMatrix of one shape, or for "omp" alone the PoissonSensing of
-    ``poisson_sensing`` at the G runs' times, which holds no M0; ys is
-    G x M. A solver not in SOLVERS, and for "tv" an operand without M0,
-    raise ValueError before any OMP work."""
+    """Orthogonal matching pursuit (see :func:`omp_recover`) on the sensing
+    matrices of G runs' operands in lock-step, then for solver "tv"
+    :func:`tv_recover` on each run's operand as M0 from its OMP
+    reconstruction, which pins the transitions so the descent only flattens
+    the ripples between them: run g's result, or the RecoveryError that
+    ended it, at index g, a failure being returned, not raised. operands is
+    a list of G ObservationMatrix or bare M x N arrays of one shape, or for
+    "omp" alone the PoissonSensing of ``poisson_sensing`` at the G runs'
+    times, which holds no M0; ys is G x M. A solver not in SOLVERS, and for
+    "tv" an operand without M0, raise ValueError before any OMP work."""
     check_choice("solver", solver, SOLVERS)
-    m0s = None
-    if solver == "tv":
-        m0s = [_m0_entries(operand) for operand in (operands if isinstance(operands, list) else [operands])]
-    sensing = operands if isinstance(operands, PoissonSensing) else DenseSensing(sensing_matrix(list(operands)))
-    outcomes = _omp_group(sensing, ys, omp)
-    if m0s is None:
+    if solver == "omp" and isinstance(operands, PoissonSensing):
+        return _omp_group(operands, ys, omp)
+    # Every other operand is read as M0, which a PoissonSensing refuses.
+    m0s = [_m0_entries(operand) for operand in ([operands] if isinstance(operands, PoissonSensing) else operands)]
+    outcomes = _omp_group(DenseSensing(sensing_matrix(m0s)), ys, omp)
+    if solver == "omp":
         return outcomes
     return [
         outcome if isinstance(outcome, RecoveryError) else tv_recover(m0, y, tv, x_init=outcome.recovered)

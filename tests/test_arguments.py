@@ -43,6 +43,7 @@ from randsamp.experiments import report_csv, report_json
 from randsamp.solvers import solve
 
 TIMES = np.array([0.25, 1.5])
+TIMES3 = np.array([0.25, 1.5, 4.75])
 
 # (entry point, parameter, least value k, call with the value)
 COUNTS = [
@@ -211,8 +212,13 @@ def test_solver_operand_must_be_a_matrix(recover, name, matrix, shape):
         (lambda: tv_recover(np.eye(3, 8), np.ones(3), x_init=np.ones(7)),
          r"^x_init must hold the N=8 grid values, got shape \(7,\)$"),
         (lambda: relative_l2_error(np.ones(3), np.ones(4)), r"^x_rec and x_ref must have one shape, got \(3,\) and \(4,\)$"),
+        # once the group message, naming a G axis the caller never passed
+        (lambda: solve("omp", build_poisson(TIMES3, 1.0, 8), np.ones(4), OmpConfig(max_atoms=2), TvConfig()),
+         r"^y must hold the M=3 measurements, got shape \(4,\)$"),
+        (lambda: solve("tv", build_poisson(TIMES3, 1.0, 8), np.ones(4), OmpConfig(max_atoms=2), TvConfig()),
+         r"^y must hold the M=3 measurements, got shape \(4,\)$"),
     ],
-    ids=["omp-y", "tv-y", "max-atoms", "x-init", "relative-error"],
+    ids=["omp-y", "tv-y", "max-atoms", "x-init", "relative-error", "solve-omp-y", "solve-tv-y"],
 )
 def test_size_mismatch_names_both_sizes(call, message):
     with pytest.raises(ValueError, match=message):

@@ -337,6 +337,19 @@ class TestPipeline:
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.splitlines()) == 1 + 16
 
+    @pytest.mark.parametrize("solver", ["omp", "tv"])
+    def test_recover_names_a_measurement_short_of_the_matrix(self, run_cli, tmp_path, solver):
+        # once the group message, "ys must hold ... of each of the G=1 runs"
+        assert run_cli("sample", "--signal", "trig", "--m", "8", "--duration", "0.02", "--seed", "3",
+                       "--out", "s.csv").returncode == 0
+        assert run_cli("build-matrix", "--times", "s.csv", "--rate", "800", "--n", "16",
+                       "--out", "m0.csv").returncode == 0
+        (tmp_path / "short.csv").write_text("".join((tmp_path / "s.csv").read_text().splitlines(keepends=True)[:-1]))
+        proc = run_cli("recover", "--matrix", "m0.csv", "--measurements", "short.csv", "--solver", solver)
+        assert proc.returncode == 1
+        assert proc.stderr == "randsamp: error: y must hold the M=8 measurements, got shape (7,)\n"
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("preset", ["trig", "gauspuls", "square"])
     def test_step_by_step_reproduces_the_preset(self, run_cli, tmp_path, preset):
         # generate -> sample -> build-matrix -> recover, with the preset's

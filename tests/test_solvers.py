@@ -251,19 +251,23 @@ class TestGroupIndependence:
     """OMP solves a batch's runs in lock-step groups. A run's support,
     iterations, residual history and recovered signal are the same bits
     alone (reconstruct_once), inside a 12-run run_experiment solved as one
-    group, and in a group that also holds a run that fails."""
+    group or as three groups of 4, each built once the one before is freed,
+    and in a group that also holds a run that fails. For square, whose
+    solver is TV, that is the TV descent from each run's OMP warm start."""
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, size",
         [
-            {"preset": "gauspuls"},
-            {"preset": "gauspuls", "sample_rate": 9.99e6},
-            {"preset": "trig"},
-            {"preset": "trig", "method": "naive"},
+            ({"preset": "gauspuls"}, 12),
+            ({"preset": "gauspuls", "sample_rate": 9.99e6}, 12),
+            ({"preset": "trig"}, 12),
+            ({"preset": "trig", "method": "naive"}, 12),
+            ({"preset": "square"}, 12),
+            ({"preset": "gauspuls"}, 4),
         ],
-        ids=["gauspuls-10MHz", "gauspuls-9.99MHz", "trig-poisson", "trig-naive"],
+        ids=["gauspuls-10MHz", "gauspuls-9.99MHz", "trig-poisson", "trig-naive", "square", "gauspuls-three-groups"],
     )
-    def test_run_does_not_depend_on_its_group(self, overrides, monkeypatch):
+    def test_run_does_not_depend_on_its_group(self, overrides, size, monkeypatch):
         cfg = ExperimentConfig(runs=12, master_seed=7, **overrides)
         plan = resolve_plan(cfg)
         batches = []
@@ -273,10 +277,11 @@ class TestGroupIndependence:
             return batches[-1]
 
         solve = experiments.solve_group
-        monkeypatch.setattr(experiments, "GROUP_BYTES", 10**9)  # the 12 runs as one group
+        monkeypatch.setattr(experiments, "_group_size", lambda cfg, plan: size)
         monkeypatch.setattr(experiments, "solve_group", kept)
         report = run_experiment(cfg)
-        (batch,) = batches
+        assert [len(one) for one in batches] == [size] * (cfg.runs // size)
+        batch = [outcome for one in batches for outcome in one]
 
         # The same runs with a 13th among them whose samples all fall at one
         # time: its columns are constant, so its second frequency's columns
@@ -652,6 +657,18 @@ class TestSolve:
         sensing = poisson_sensing(np.linspace(0.0, 30.0, 12), 1.0, 32)
         with pytest.raises(ValueError, match="holds no M0"):
             solve("tv", sensing, np.ones(12), OmpConfig(max_atoms=6), TvConfig())
+
+    @pytest.mark.parametrize("solver", ["omp", "tv"])
+    def test_bare_matrix_is_read_as_its_observation_matrix(self, solver):
+        # once an AttributeError from the stacking of the sensing matrices,
+        # which read each operand's .entries
+        m0, y = random_tv_problem(12, 32, 5)
+        omp, tv = OmpConfig(max_atoms=6, residual_tol=1e-6), TvConfig(max_iters=50)
+        expected = solve(solver, m0, y, omp, tv)
+        (grouped,) = solvers.solve_group(solver, [m0.entries], y[None], omp, tv)
+        for result in (solve(solver, m0.entries, y, omp, tv), grouped):
+            assert np.array_equal(result.recovered, expected.recovered)
+            assert result.iterations == expected.iterations
 
     @pytest.mark.parametrize("solver", ["omp", "tv"])
     def test_zero_measurements_recover_zero(self, solver):

@@ -23,7 +23,8 @@ are the one closed form. :class:`PoissonSensing` builds and holds them, for
 one run or a group of runs, as two small factor tables that OMP reads
 without forming the matrix, and ``obs_matrix.build_poisson`` is their
 inverse real FFT. :class:`DenseSensing` gives OMP the same reads of sensing
-matrices held whole.
+matrices held whole. A solve reads every run of its group at every step,
+those that have stopped too, so neither is ever cut to a subset of its runs.
 """
 
 from __future__ import annotations
@@ -74,9 +75,7 @@ class PoissonSensing:
     coarse^T diag(r) fine, taken as a stacked real product in two passes
     over the group, and an atom, a frequency's two columns, the product of a
     coarse and a fine column. An instance holds one group's tables and the
-    work buffers of its correlations, which serve one solve at a time; a
-    solve whose runs end apart reads the runs still going through
-    :meth:`select`, which shares the work buffers.
+    work buffers of its correlations, which serve one solve at a time.
     """
 
     def __init__(self, u, n_grid: int):
@@ -100,7 +99,8 @@ class PoissonSensing:
             part.reshape(shape) for part, shape in zip(parts, shapes)
         )
         self._products = products.view(float)
-        self._passes = self._pass_slices(g)
+        # (runs, the scaled buffer for them) for each pass
+        self._passes = [(slice(start, start + half), self._scaled[: g - start]) for start in range(0, g, half)]
         k = np.round(runs)
         f = runs - k
         k %= n_grid  # exact, so the integer products below cannot overflow
@@ -121,18 +121,6 @@ class PoissonSensing:
             np.sin(phase, out=table.imag)
         # numpy divides a complex by a real as a product with its reciprocal
         np.multiply(self.fine.view(float), 1.0 / math.sqrt(n_grid), out=self.fine.view(float))
-
-    def select(self, runs) -> PoissonSensing:
-        """The group's runs at the indices runs, in that order, as a new
-        instance holding copies of their tables and sharing this one's work
-        buffers."""
-        out = object.__new__(PoissonSensing)
-        out.n_grid, out.shape = self.n_grid, (len(runs),) + self.shape[-2:]
-        out.coarse, out.fine = self.coarse[runs], self.fine[runs]
-        out._correlations = self._correlations[: len(runs)].copy()
-        out._scaled, out._products = self._scaled, self._products
-        out._passes = out._pass_slices(len(runs))
-        return out
 
     def atoms(self) -> np.ndarray:
         """The table of shape shape[:-1] + (W,), W >= N//2 + 1, whose column j is atom j."""
@@ -173,11 +161,6 @@ class PoissonSensing:
             pairs[:, -1].imag = 0.0
         return pairs.reshape(self.shape[:-2] + (-1,))
 
-    def _pass_slices(self, g: int) -> list:
-        """(runs, the scaled buffer for them) for each pass over g runs."""
-        step = len(self._scaled)
-        return [(slice(start, start + step), self._scaled[: g - start]) for start in range(0, g, step)]
-
     def _product(self, coarse, fine, runs) -> None:
         """coarse^T fine into the correlations of runs, taken as one real
         product of the tables read as floats, whose columns interleave Re
@@ -204,9 +187,6 @@ class DenseSensing:
     def __init__(self, a):
         self.a, self.shape = a, a.shape
         self._slots = np.zeros((a.shape[0], 2 * (a.shape[2] // 2 + 1)))  # column c at float c + 1 of the pairs
-
-    def select(self, runs) -> DenseSensing:
-        return DenseSensing(self.a[runs])
 
     def sq_norms(self) -> np.ndarray:
         return np.array([np.einsum("ij,ij->j", a, a) for a in self.a])
@@ -236,16 +216,15 @@ def poisson_sensing(times, interval: float, n_grid: int) -> PoissonSensing:
 
 
 def sensing_matrix(m0) -> np.ndarray:
-    """Real M x N sensing matrix ``m0.entries @ R`` in the layout above, R
-    being the Re and Im parts of the adjoint DFT's columns: the conjugated
-    real FFT of M0's rows, whose bin j is a_j. For a ``poisson`` M0 it
-    matches :func:`poisson_sensing` at the sample times to ~1e-16. A list of
-    G M0s of one shape, each an ObservationMatrix or its M x N entries,
-    gives their matrices stacked, G x M x N, each as it would be alone.
+    """Real M x N sensing matrix ``M0 @ R`` of m0, an ObservationMatrix or
+    its M x N entries, in the layout above, R being the Re and Im parts of
+    the adjoint DFT's columns: the conjugated real FFT of M0's rows, whose
+    bin j is a_j. For a ``poisson`` M0 it matches :func:`poisson_sensing` at
+    the sample times to ~1e-16. A list of G such M0s of one shape gives
+    their matrices stacked, G x M x N, each as it would be alone.
     """
     if not isinstance(m0, list):
-        half = np.fft.rfft(m0.entries, axis=1, norm="ortho")
-        return _halfcomplex(np.conjugate(half, out=half), m0.n_grid)
+        return sensing_matrix([m0])[0]
     entries = [getattr(one, "entries", one) for one in m0]
     shape = entries[0].shape
     if any(one.shape != shape for one in entries):

@@ -4,7 +4,9 @@
 its real M0, stored real in halfcomplex order (Re a_0, Re a_1, Im a_1,
 Re a_2, Im a_2, ...). It is a group of one of the lock-step solve that
 :func:`~randsamp.solvers.solve_group` runs on G runs of one M and N at
-once, each step one stacked numpy call for the group. Each step greedily
+once, each step one stacked numpy call for the group. A run that stops or
+fails keeps its slot and steps on with the group until the group's last run
+stops; those later steps are not read. Each step greedily
 selects the frequency whose (normalized) column pair best correlates with
 the residual and takes bins j and N-j. Classical Gram-Schmidt applied twice
 factors the selected columns as Q R; the residual is y minus its projection
@@ -185,10 +187,10 @@ def _omp_group(a, ys, cfg: OmpConfig) -> list[RecoveryResult | RecoveryError]:
     at index g. a holds the G runs' sensing matrices as a DenseSensing or a
     PoissonSensing, and ys is G x M.
 
-    Each step is one stacked numpy call for the whole group, whose items
-    are the products one run alone takes, on rows that start on a cache
-    line wherever they sit; so a run's result does not depend on the runs
-    solved with it.
+    Each step is one stacked numpy call for the whole group, the runs that
+    have stopped among them, whose items are the products one run alone
+    takes, on rows that start on a cache line wherever they sit; so a run's
+    result does not depend on the runs solved with it.
     """
     g, m, n = (1, *a.shape) if len(a.shape) == 2 else a.shape
     ys = np.asarray(ys, dtype=float)
@@ -207,35 +209,34 @@ def _omp_group(a, ys, cfg: OmpConfig) -> list[RecoveryResult | RecoveryError]:
 
 
 def _omp_lock_step(a, ys, g: int, cfg: OmpConfig) -> tuple[list, list]:
-    """The loop of :func:`_omp_group`: each run's RecoveryError, or
-    None where it stopped, and per set of runs that stopped together their
-    ids and what :func:`_omp_results` takes. Slot i of every state array
-    holds run ids[i]. When runs stop or fail, the runs still going move up
-    to the first slots, and the loop reads the first `active` slots through
-    views bound then. A failure is kept unraised: a traceback kept with it
-    would hold the frames of the whole solve, its caller's list of outcomes
-    among them, in a reference cycle."""
+    """The loop of :func:`_omp_group`: each run's RecoveryError, or None
+    where it stopped, and for each number k of picks that runs stopped
+    after, their ids and what :func:`_omp_results` takes. Every run keeps
+    its slot until the group's last run stops. One that stops or fails
+    takes a stop threshold, -1, and a budget, N + 1, that it cannot meet,
+    and steps on with the others; its later steps write only past its first
+    k picks and the rows of R, Q^T y and the history that they fill, which
+    its result is read from. A failure is kept unraised: a traceback kept
+    with it would hold the frames of the whole solve, its caller's list of
+    outcomes among them, in a reference cycle."""
     m, n = a.shape[-2:]
     width = np.full(n // 2 + 1, 2)  # bins per frequency
     width[[0, n // 2] if n % 2 == 0 else [0]] = 1
-    state, work = _omp_state(a, ys, g, cfg)
+    state, (rest, score, atom, here) = _omp_state(a, ys, g, cfg)
+    col_norms, singular_tol, y, residual, basis, r, weights, history, stop, budget, is_picked, picks, bins = state
     outcomes: list = [None] * g
-    stopped: list = []
-    active, it, failed = g, 0, None
-    history, stop = state[8], state[9]
+    taken: list = [None] * g  # the picks of each run that stopped
+    going, it = g, 0
     ending = history[:, 0] <= stop
 
     while True:
-        if failed is not None or np.count_nonzero(ending):
-            going = _end_runs(stopped, state, active, it, ending, failed)
-            if not len(going):
-                return outcomes, stopped
-            a, active, failed = a.select(going), len(going), None
-        if it == 0 or active < len(ids):
-            ids, col_norms, singular_tol, y, residual, basis, r, weights, history, stop, is_picked, picks, bins = (
-                array[:active] for array in state
-            )
-            rest, score, atom, here = (array[:active] for array in work)
+        if np.count_nonzero(ending):
+            for i in np.flatnonzero(ending):
+                taken[i] = it
+            stop[ending], budget[ending] = -1.0, n + 1
+            going -= np.count_nonzero(ending)
+        if not going:
+            break
 
         np.abs(a.correlate(residual), out=score)
         np.divide(score, col_norms, out=score)
@@ -246,9 +247,9 @@ def _omp_lock_step(a, ys, g: int, cfg: OmpConfig) -> tuple[list, list]:
         wide = width[pick]
         bins += wide
         if 2 * it + 2 > m and np.count_nonzero(bins > m):
-            failed = bins > m
-            for i in np.flatnonzero(failed):
-                outcomes[ids[i]] = OverSelectionError(f"support size {bins[i]} exceeds the {m} measurements")
+            for i in np.flatnonzero((bins > m) & (budget <= n)):  # runs still going
+                outcomes[i] = OverSelectionError(f"support size {bins[i]} exceeds the {m} measurements")
+                stop[i], budget[i], going = -1.0, n + 1, going - 1
         a.atom(pick, atom)
         single = wide == 1  # DC and Nyquist: a zero Im column
         if np.count_nonzero(single):
@@ -257,14 +258,20 @@ def _omp_lock_step(a, ys, g: int, cfg: OmpConfig) -> tuple[list, list]:
             single = None
         singular = _orthonormalize(basis, r, atom, rest, 2 * it, single, singular_tol)
         if singular is not None:
-            for i in np.flatnonzero(singular if failed is None else singular & ~failed):
-                outcomes[ids[i]] = SingularSystemError(_supports(picks[i : i + 1, : it + 1], n)[0])
-            failed = singular if failed is None else failed | singular
+            for i in np.flatnonzero(singular & (budget <= n)):  # runs still going
+                outcomes[i] = SingularSystemError(_supports(picks[i : i + 1, : it + 1], n)[0])
+                stop[i], budget[i], going = -1.0, n + 1, going - 1
         np.matmul(basis[:, 2 * it : 2 * it + 2], y[:, :, None], out=weights[:, 2 * it : 2 * it + 2, None])
         it += 1
         np.subtract(y, np.matmul(weights[:, None, : 2 * it], basis[:, : 2 * it])[:, 0], out=residual)
         history[:, it] = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
-        ending = (history[:, it] <= stop) | (bins >= cfg.max_atoms)
+        ending = (history[:, it] <= stop) | (bins >= budget)
+
+    stopped = []
+    for k in {k for k in taken if k is not None}:
+        ids = [i for i, one in enumerate(taken) if one == k]
+        stopped.append((ids, r[ids, : 2 * k, : 2 * k], weights[ids, : 2 * k], picks[ids, :k], history[ids, : k + 1]))
+    return outcomes, stopped
 
 
 def _omp_state(a, ys, g: int, cfg: OmpConfig) -> tuple[list, list]:
@@ -307,24 +314,9 @@ def _omp_state(a, ys, g: int, cfg: OmpConfig) -> tuple[list, list]:
     is_picked = np.zeros((g, h), dtype=bool)
     picks = np.empty((g, most), dtype=int)  # frequencies, in the order picked
     bins = np.zeros(g, dtype=int)  # support sizes
-    state = [np.arange(g), col_norms, singular_tol, y, residual, basis, r, weights, history, stop, is_picked, picks, bins]
+    budget = np.full(g, cfg.max_atoms)
+    state = [col_norms, singular_tol, y, residual, basis, r, weights, history, stop, budget, is_picked, picks, bins]
     return state, [rest, score, atom.view(complex), np.arange(g)]
-
-
-def _end_runs(stopped, state, active: int, it: int, ending, failed):
-    """Keep, in stopped, what the results of the first `active` slots' runs
-    that are ending and not failed are built from; move the runs still going
-    up to the first slots, and return those runs' slots."""
-    ids, r, weights, history, picks = (state[i][:active] for i in (0, 6, 7, 8, 11))
-    lost = ending if failed is None else ending | failed
-    done = np.flatnonzero(lost if failed is None else ending & ~failed)
-    if len(done):
-        k = 2 * it
-        stopped.append((ids[done], r[done, :k, :k], weights[done, :k], picks[done, :it], history[done, : it + 1]))
-    going = np.flatnonzero(~lost)
-    for array in state:
-        array[: len(going)] = array[going]
-    return going
 
 
 def _orthonormalize(basis, r, atom, rest, k: int, single, singular_tol):

@@ -996,3 +996,25 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_batches_leave_numpy_ma_unloaded(self):
+        # numpy.ma loads with np.unique's first call, among others, and adds
+        # about 1 MB to a process's peak RSS; a batch, a lone run and a sweep
+        # of every preset and matrix method import nothing of it. pytest may
+        # load it itself, so this runs in a fresh interpreter.
+        code = """
+import sys
+from randsamp.experiments import PRESETS, ExperimentConfig, reconstruct_once, run_experiment, sweep_truncation
+from randsamp.obs_matrix import METHODS
+for preset in PRESETS:
+    for method in METHODS:
+        cfg = ExperimentConfig(preset, method, 2 if method == "truncated" else None, runs=2, master_seed=7)
+        run_experiment(cfg)
+        reconstruct_once(cfg, 1)
+sweep_truncation(ExperimentConfig("trig", runs=2, master_seed=7), [2, 20])
+print("numpy.ma" in sys.modules)
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

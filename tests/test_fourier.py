@@ -96,6 +96,17 @@ def test_sensing_matrix_of_on_grid_times_is_adjoint_basis():
             assert np.allclose(sensing_matrix(m0), real_dft_basis(n), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 15])
+def test_sensing_matrix_reads_bare_entries(n):
+    # an M x N array is read as the entries of its ObservationMatrix, in the
+    # one-run form as in the list form
+    m0 = build("naive", np.sort(np.random.default_rng(n).uniform(0.0, float(n), size=7)), 1.0, n)
+    a = sensing_matrix(m0)
+    assert a.shape == (7, n)
+    assert np.array_equal(sensing_matrix(m0.entries), a)
+    assert np.array_equal(sensing_matrix([m0.entries, m0])[0], a)
+
+
 def test_sensing_matrix_composition():
     rng = np.random.default_rng(21)
     times = np.sort(rng.uniform(0.0, 16.0, size=7))

@@ -10,7 +10,7 @@ from omp_reference import omp_reference
 from randsamp import experiments, solvers
 from randsamp.experiments import ExperimentConfig, derive_run_seed, reconstruct_once, resolve_plan, run_experiment
 from randsamp.fourier import dft_adjoint, poisson_sensing, sensing_matrix
-from randsamp.obs_matrix import ObservationMatrix, build_poisson
+from randsamp.obs_matrix import ObservationMatrix, build, build_poisson
 from randsamp.signals import TrigSignal, draw_random_times, uniform_samples
 from randsamp.solvers import (
     NonConvergenceError,
@@ -253,7 +253,9 @@ class TestGroupIndependence:
     alone (reconstruct_once), inside a 12-run run_experiment solved as one
     group or as three groups of 4, each built once the one before is freed,
     and in a group that also holds a run that fails. For square, whose
-    solver is TV, that is the TV descent from each run's OMP warm start."""
+    solver is TV, that is the TV descent from each run's OMP warm start. A
+    group whose runs stop or fail at different picks, and keep stepping
+    until its last run stops, gives each run the outcome it gets alone."""
 
     @pytest.mark.parametrize(
         "overrides, size",
@@ -301,6 +303,47 @@ class TestGroupIndependence:
                 assert other.iterations == alone.result.iterations
                 assert np.array_equal(other.residual_history, alone.result.residual_history)
                 assert np.array_equal(other.recovered, alone.result.recovered)
+
+    @pytest.mark.parametrize("operand", ["poisson-sensing", "dense"])
+    def test_runs_that_stop_apart(self, operand):
+        # A group whose runs end at different picks, and go on stepping with
+        # it until its last run stops: y = 0 stops at once, a pure tone at
+        # Nyquist after its one pick, run 3's samples all fall at one time,
+        # so its second column is not independent of its first, and the
+        # drawn runs stop on the budget, which M = 8 meets with 4 frequency
+        # pairs or with DC, Nyquist and 3 pairs, or outgrow M with DC or
+        # Nyquist alone among their picks.
+        n, m, omp = 32, 8, OmpConfig(max_atoms=8)
+        rng = np.random.default_rng(9)
+        times = np.sort(rng.uniform(0.0, n, size=(8, m)), axis=1)
+        times[3] = times[3, 0]
+        ys = rng.standard_normal((8, m))
+        if operand == "dense":
+            operands = [build("naive", one, 1.0, n) for one in times]
+            alone, matrices = operands, sensing_matrix(operands)
+        else:
+            operands = poisson_sensing(times, 1.0, n)
+            alone, matrices = [poisson_sensing(one, 1.0, n) for one in times], np.asarray(operands)
+        ys[1] = 0.0
+        ys[2] = matrices[2, :, n - 1]
+        group = solvers.solve_group("omp", operands, ys, omp, TvConfig())
+        kinds = [type(one).__name__ if isinstance(one, RecoveryError) else len(one.support) for one in group]
+        iterations = [None if isinstance(one, RecoveryError) else one.iterations for one in group]
+        assert kinds == ["OverSelectionError", 0, 1, "SingularSystemError", 8, 8, "OverSelectionError", "OverSelectionError"]
+        assert iterations == [None, 0, 1, None, 4, 5, None, None]
+
+        for one, operand_alone, y in zip(group, alone, ys):
+            if isinstance(one, RecoveryError):
+                with pytest.raises(type(one)) as raised:
+                    solve("omp", operand_alone, y, omp, TvConfig())
+                assert str(raised.value) == str(one)
+                continue
+            result = solve("omp", operand_alone, y, omp, TvConfig())
+            assert result.support == one.support
+            assert result.iterations == one.iterations
+            assert np.array_equal(result.residual_history, one.residual_history)
+            assert np.array_equal(result.spectrum, one.spectrum)
+            assert np.array_equal(result.recovered, one.recovered)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -2,10 +2,10 @@
 
 A run is fully determined by (master_seed, run_index): per-run seeds come
 from a SplitMix64-style mix, so runs are independent random streams and batch
-results do not depend on execution order. A batch draws and samples all its
-runs, then builds, solves and scores them group by group, in one thread; OMP
-advances a group's runs in lock-step (see :func:`~randsamp.solvers.solve_group`),
-and a run's result does not depend on its group.
+results do not depend on execution order. A batch draws, samples, builds,
+solves and scores its runs group by group, in one thread; OMP advances a
+group's runs in lock-step (see :func:`~randsamp.solvers.solve_group`), and a
+run's result does not depend on its group.
 
 Builds and solves are timed separately with a monotonic wall clock, per
 group; a run's times are its share of its group's. Timing values are real
@@ -38,7 +38,7 @@ from .solvers import SOLVERS, OmpConfig, RecoveryError, TvConfig, fit_budget, so
 PRESETS = ("trig", "gauspuls", "square")
 
 # A batch solves its runs in groups whose working set stays under this many
-# bytes (see _group_size): 7 runs of the pulse preset. In 12-run pulse calls,
+# bytes (see _group_size): 6 runs of the pulse preset. In 12-run pulse calls,
 # groups of 6 read 1.26x the runs per second of runs solved one at a time
 # and groups of 12 1.63x, at +0.9 MB and +1.9 MB of peak RSS (CHANGES.md).
 GROUP_BYTES = 1_000_000
@@ -53,7 +53,7 @@ SWEEP_CSV_HEADER = "method,P,mean_error,mean_build_time_s,mean_solve_time_s"
 def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Independent 64-bit stream seed for one run: the SplitMix64 finalizer
     applied to master_seed + (run_index + 1) * golden-ratio increment."""
-    z = (int(master_seed) + (run_index + 1) * _GOLDEN) & _MASK64  # a numpy integer would overflow
+    z = (int(master_seed) + (int(run_index) + 1) * _GOLDEN) & _MASK64  # a numpy integer would overflow
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
     z ^= z >> 27
@@ -255,8 +255,8 @@ def _group_size(cfg: ExperimentConfig, plan: ResolvedPlan) -> int:
     """Most runs solved as one group: as many as keep the group's working
     set under GROUP_BYTES. A run's share, in bytes, is its operand and OMP's
     arrays. The operand is the closed form's coarse and fine tables of C and
-    B atoms, 16 M (C + B), with its correlations, 16 C B, and half its work
-    buffers, 8 M B + 16 C B; or a dense sensing matrix, 16 M (N/2 + 1), and
+    B atoms, 16 M (C + B), with its correlations, 16 C B, and its work
+    buffers, 16 M B + 32 C B; or a dense sensing matrix, 16 M (N/2 + 1), and
     the M0 a TV solve keeps, 8 M N. OMP holds 2 K rows of M + 8 floats, R
     and the scores, 8 (M + 8) (2 K + 6) + 16 K (2 K + 8) + 24 (N/2 + 1),
     for K = min(max_atoms + 3, M + 4) / 2 frequencies."""
@@ -265,7 +265,7 @@ def _group_size(cfg: ExperimentConfig, plan: ResolvedPlan) -> int:
     if plan.solver == "omp" and cfg.method == "poisson":
         b = math.isqrt(h - 1) + 1
         c = -(-h // b)
-        operand = 16 * m * (c + b) + 32 * c * b + 8 * m * b
+        operand = 16 * m * (c + 2 * b) + 48 * c * b
     else:
         operand = 16 * m * h + (8 * m * n if plan.solver == "tv" else 0)
     k = min(plan.omp.max_atoms + 3, m + 4) // 2
@@ -297,21 +297,20 @@ def _operand(cfg: ExperimentConfig, plan: ResolvedPlan, times):
 
 
 def _records(cfg: ExperimentConfig, plan: ResolvedPlan, reference) -> list[RunRecord]:
-    """Draw and sample every run of cfg, then build, solve and score them
-    in groups of nearly equal size, at most :func:`_group_size` runs each.
-    A run whose solver failed has error NaN.
+    """Draw, sample, build, solve and score the runs of cfg in groups of
+    nearly equal size, at most :func:`_group_size` runs each. A run whose
+    solver failed has error NaN.
 
-    A group builds one operand for all its runs, once the previous group's
-    is released, and solves them with :func:`solve_group`; a run's
-    build_time_s and solve_time_s are its share of the group's build and of
-    its solve and scoring.
+    A group draws its runs when it starts, builds one operand for all of
+    them, once the previous group's is released, and solves them with
+    :func:`solve_group`; a run's build_time_s and solve_time_s are its share
+    of the group's build and of its solve and scoring.
     """
-    draws = [_draw(cfg, plan, run_id) for run_id in range(cfg.runs)]
     count = -(-cfg.runs // _group_size(cfg, plan))
     records = []
     for k in range(count):
         operand = None  # the previous group's, freed before this group's is built
-        group = draws[k * cfg.runs // count : (k + 1) * cfg.runs // count]
+        group = [_draw(cfg, plan, run_id) for run_id in range(k * cfg.runs // count, (k + 1) * cfg.runs // count)]
         tic = time.perf_counter()
         operand = _operand(cfg, plan, np.array([times for _, _, times, _ in group]))
         build_time = (time.perf_counter() - tic) / len(group)
@@ -329,7 +328,9 @@ def _records(cfg: ExperimentConfig, plan: ResolvedPlan, reference) -> list[RunRe
 def reconstruct_once(cfg: ExperimentConfig, run_id: int = 0) -> Reconstruction:
     """Materialize a single run of an experiment (the figure-style view), a
     group of one; unlike :func:`run_experiment`, raise the RecoveryError of
-    a failed run, from :func:`~randsamp.solvers.solve`."""
+    a failed run, from :func:`~randsamp.solvers.solve`. run_id is an int or
+    numpy integer >= 0; another value raises ValueError."""
+    check_count("run_id", run_id, 0)
     plan = resolve_plan(cfg)
     reference = uniform_samples(plan.signal, plan.n_grid, plan.interval, plan.t0)
     run_id, seed, times, values = _draw(cfg, plan, run_id)

@@ -72,10 +72,11 @@ class PoissonSensing:
 
     OMP's reads (see :mod:`~randsamp.omp`) take every run of the group at
     once and cost O(M sqrt(N)) memory per run: a correlation is
-    coarse^T diag(r) fine, taken as a stacked real product in two passes
-    over the group, and an atom, a frequency's two columns, the product of a
-    coarse and a fine column. An instance holds one group's tables and the
-    work buffers of its correlations, which serve one solve at a time.
+    coarse^T diag(r) fine, taken as one stacked real product over the group,
+    an atom, a frequency's two columns, the product of a coarse and a fine
+    column, and the column norms are known in closed form. An instance
+    holds one group's tables and the work buffers of its correlations,
+    which serve one solve at a time.
     """
 
     def __init__(self, u, n_grid: int):
@@ -86,11 +87,9 @@ class PoissonSensing:
         b = math.isqrt(h - 1) + 1
         c = -(-h // b)
         self.n_grid, self.shape = n_grid, u.shape + (n_grid,)
-        # The tables and the correlations of the g runs, and the fine table
-        # scaled by a residual and the real products for half as many: a
-        # correlation takes two passes.
-        half = -(-g // 2)
-        shapes = ((g, m, c), (g, m, b), (g, c, b), (half, m, b), (half, 2 * c, b))
+        # The tables of the g runs, and their correlations, fine tables
+        # scaled by a residual and the real products of a correlation.
+        shapes = ((g, m, c), (g, m, b), (g, c, b), (g, m, b), (g, 2 * c, b))
         # One allocation holds them all: freed whole, the allocator keeps it
         # for the next instance rather than handing its pages back.
         whole = np.empty(sum(math.prod(shape) for shape in shapes), dtype=complex)
@@ -99,8 +98,6 @@ class PoissonSensing:
             part.reshape(shape) for part, shape in zip(parts, shapes)
         )
         self._products = products.view(float)
-        # (runs, the scaled buffer for them) for each pass
-        self._passes = [(slice(start, start + half), self._scaled[: g - start]) for start in range(0, g, half)]
         k = np.round(runs)
         f = runs - k
         k %= n_grid  # exact, so the integer products below cannot overflow
@@ -130,20 +127,19 @@ class PoissonSensing:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(_halfcomplex(self.atoms(), self.n_grid), dtype=dtype)
 
-    def sq_norms(self) -> np.ndarray:
-        """Squared norm of every column, of shape shape[:-2] + (N,). Every
-        atom has modulus 1 / sqrt(N), so sum |a_j|^2 = M / N, and
-        ||Re a_j||^2 and ||Im a_j||^2 are half the sum and the difference of
-        that and Re sum a_j^2, the product of the squared tables."""
-        m, n = self.shape[-2:]
-        for runs, scaled in self._passes:
-            np.square(self.fine[runs], out=scaled)
-            self._product(np.square(self.coarse[runs]), scaled, runs)
-        square = self._correlations.real.reshape(len(self._correlations), -1)
-        norms = np.empty(square.shape, dtype=complex)
-        np.add(m / n, square, out=norms.real)
-        np.subtract(m / n, square, out=norms.imag)
-        return (0.5 * _halfcomplex(norms, n)).reshape(self.shape[:-2] + (n,))
+    def pair_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each frequency's column pair norm, sqrt(||Re a_j||^2 + ||Im a_j||^2)
+        (Re a_j alone for DC and even-N Nyquist), of shape shape[:-2] +
+        (N//2 + 1,), and the largest column norm, of shape shape[:-2]. Every
+        atom has modulus 1 / sqrt(N), so each is sqrt(M / N), DC's column
+        being the largest, but for the even-N Nyquist column Re a_{N/2}."""
+        (g, m, _), n = self.fine.shape, self.n_grid
+        norms = np.full((g, n // 2 + 1), math.sqrt(m / n))
+        if n % 2 == 0:
+            nyquist = np.empty((g, m), dtype=complex)
+            self.atom(np.full(g, n // 2), nyquist)
+            norms[:, -1] = np.sqrt(np.einsum("gm,gm->g", nyquist.real, nyquist.real))
+        return norms.reshape(self.shape[:-2] + (-1,)), np.full(self.shape[:-2], math.sqrt(m / n))
 
     def correlate(self, r) -> np.ndarray:
         """The correlations of r with every column, as the complex pairs
@@ -152,24 +148,17 @@ class PoissonSensing:
         shape shape[:-1], the result of shape shape[:-2] + (N//2 + 1,). The
         result is a view of a work buffer that the next call overwrites."""
         g, m, _ = self.fine.shape
-        r = r.reshape(g, m, 1)
-        for runs, scaled in self._passes:
-            np.multiply(self.fine[runs], r[runs], out=scaled)
-            self._product(self.coarse[runs], scaled, runs)
+        products = self._products
+        np.multiply(self.fine, r.reshape(g, m, 1), out=self._scaled)
+        # coarse^T diag(r) fine as one real product of the tables read as floats:
+        # entry (2b + s, 2c + t) sums part s of coarse b times part t of scaled fine c.
+        np.matmul(self.coarse.view(float).transpose(0, 2, 1), self._scaled.view(float), out=products)
+        np.subtract(products[:, 0::2, 0::2], products[:, 1::2, 1::2], out=self._correlations.real)
+        np.add(products[:, 0::2, 1::2], products[:, 1::2, 0::2], out=self._correlations.imag)
         pairs = self._correlations.reshape(g, -1)[:, : self.n_grid // 2 + 1]
         if self.n_grid % 2 == 0:  # DC's Im part is a sum of exact zeros
             pairs[:, -1].imag = 0.0
         return pairs.reshape(self.shape[:-2] + (-1,))
-
-    def _product(self, coarse, fine, runs) -> None:
-        """coarse^T fine into the correlations of runs, taken as one real
-        product of the tables read as floats, whose columns interleave Re
-        and Im parts: entry (2b + s, 2c + t) of it is the sum over the
-        samples of part s of coarse b times part t of fine c."""
-        products = self._products[: len(coarse)]
-        np.matmul(coarse.view(float).transpose(0, 2, 1), fine.view(float), out=products)
-        np.subtract(products[:, 0::2, 0::2], products[:, 1::2, 1::2], out=self._correlations[runs].real)
-        np.add(products[:, 0::2, 1::2], products[:, 1::2, 0::2], out=self._correlations[runs].imag)
 
     def atom(self, j, out) -> None:
         """Write atom j[g] of run g into out[g], a complex array of shape
@@ -188,8 +177,19 @@ class DenseSensing:
         self.a, self.shape = a, a.shape
         self._slots = np.zeros((a.shape[0], 2 * (a.shape[2] // 2 + 1)))  # column c at float c + 1 of the pairs
 
-    def sq_norms(self) -> np.ndarray:
-        return np.array([np.einsum("ij,ij->j", a, a) for a in self.a])
+    def pair_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each frequency's pair norm, of shape (G, N//2 + 1), and the
+        largest column norm, of shape (G,), as on a PoissonSensing; an
+        entry or a column norm that is not finite raises ValueError."""
+        sq_norms = np.array([np.einsum("ij,ij->j", a, a) for a in self.a])
+        if not np.isfinite(sq_norms).all():
+            raise ValueError("sensing matrix entries and their column norms must be finite")
+        # Re a_j's squared norm and Im a_j's side by side, as correlate lays
+        # out their correlations, with a zero for the Im parts of DC and
+        # Nyquist.
+        slots = np.zeros(self._slots.shape)
+        slots[:, 1 : self.shape[2] + 1] = sq_norms
+        return np.sqrt(slots[:, 0::2] + slots[:, 1::2]), np.sqrt(sq_norms.max(axis=1))
 
     def correlate(self, r) -> np.ndarray:
         np.matmul(r[:, None, :], self.a, out=self._slots[:, None, 1 : self.shape[2] + 1])
@@ -206,10 +206,14 @@ def poisson_sensing(times, interval: float, n_grid: int) -> PoissonSensing:
     Poisson summation, the atoms e^{2 pi i j u / N} / sqrt(N) at u = t / T,
     with phases reduced exactly. Times are measured from the grid origin, as
     for ``build_poisson``: M of them for one run, or a G x M array for a
-    group of G runs, whose matrices are held stacked. More than N sample
-    times per run warn, as for an observation matrix.
+    group of G runs, whose matrices are held stacked; times of another
+    shape, or none, raise ValueError. More than N sample times per run
+    warn, as for an observation matrix.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim not in (1, 2) or times.size == 0:
+        shape = "M >= 1 sample times of one run or a G x M array of them for a group of G >= 1 runs"
+        raise ValueError(f"times must be {shape}, got shape {times.shape}")
     u = grid_units(times.ravel() if times.ndim == 2 else times, interval, n_grid).reshape(times.shape)
     check_undersampled(times.shape[-1], n_grid, stacklevel=2)
     return PoissonSensing(u, n_grid)
@@ -221,14 +225,16 @@ def sensing_matrix(m0) -> np.ndarray:
     the adjoint DFT's columns: the conjugated real FFT of M0's rows, whose
     bin j is a_j. For a ``poisson`` M0 it matches :func:`poisson_sensing` at
     the sample times to ~1e-16. A list of G such M0s of one shape gives
-    their matrices stacked, G x M x N, each as it would be alone.
+    their matrices stacked, G x M x N, each as it would be alone; an empty
+    list, or M0s that are not M x N matrices of one shape, raise ValueError.
     """
     if not isinstance(m0, list):
         return sensing_matrix([m0])[0]
     entries = [getattr(one, "entries", one) for one in m0]
-    shape = entries[0].shape
-    if any(one.shape != shape for one in entries):
-        raise ValueError(f"a group's M0s must have one shape, got {[one.shape for one in entries]}")
+    shapes = [np.shape(one) for one in entries]
+    if len(set(shapes)) != 1 or len(shapes[0]) != 2:
+        raise ValueError(f"a group's M0s must be one or more M x N matrices of one shape, got shapes {shapes}")
+    shape = shapes[0]
     half = np.empty((len(m0), shape[0], shape[1] // 2 + 1), dtype=complex)
     for out, one in zip(half, entries):
         out[...] = np.fft.rfft(one, axis=1, norm="ortho")

@@ -283,20 +283,10 @@ def _omp_state(a, ys, g: int, cfg: OmpConfig) -> tuple[list, list]:
     # outgrows M: each adds two bins, but DC and Nyquist one.
     most = min(cfg.max_atoms + 3, m + 4) // 2
 
-    sq_norms = a.sq_norms().reshape(g, n)
-    if not np.isfinite(sq_norms).all():
-        raise ValueError("sensing matrix entries and their column norms must be finite")
-    # ||Re a_j||^2 + ||Im a_j||^2 per frequency, read from the halfcomplex
-    # columns: Re a_0, then Re a_j and Im a_j side by side.
-    full = (n - 1) // 2  # frequencies with both columns
-    col_norms = np.empty((g, h))
-    col_norms[:, 0] = sq_norms[:, 0]
-    np.add(sq_norms[:, 1 : 2 * full : 2], sq_norms[:, 2 : 2 * full + 1 : 2], out=col_norms[:, 1 : full + 1])
-    if n % 2 == 0:
-        col_norms[:, -1] = sq_norms[:, -1]
-    np.sqrt(col_norms, out=col_norms)
+    norms, largest = a.pair_norms()
+    col_norms = norms.reshape(g, h)
     col_norms[col_norms == 0.0] = 1.0
-    singular_tol = m * np.finfo(float).eps * np.sqrt(sq_norms.max(axis=1))
+    singular_tol = m * np.finfo(float).eps * largest.reshape(g)
 
     # Every float array of the solve is cut from one buffer, rows aligned.
     # basis: orthonormal rows, two per frequency, with a[:, columns] =

@@ -39,7 +39,7 @@ from randsamp import (
     uniform_samples,
 )
 from randsamp.cli import _interval
-from randsamp.experiments import report_csv, report_json
+from randsamp.experiments import reconstruct_once, report_csv, report_json
 from randsamp.solvers import solve
 
 TIMES = np.array([0.25, 1.5])
@@ -67,6 +67,7 @@ COUNTS = [
     ("ExperimentConfig", "p_terms", 2, lambda v: ExperimentConfig(preset="trig", method="truncated", p_terms=v)),
     ("ExperimentConfig(naive)", "p_terms", 1, lambda v: ExperimentConfig(preset="trig", method="naive", p_terms=v)),
     ("ExperimentConfig(poisson)", "p_terms", 1, lambda v: ExperimentConfig(preset="trig", method="poisson", p_terms=v)),
+    ("reconstruct_once", "run_id", 0, lambda v: reconstruct_once(ExperimentConfig(preset="trig"), v)),
 ]
 
 # (entry point, parameter, call with the value)

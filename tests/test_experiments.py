@@ -27,7 +27,7 @@ from randsamp.experiments import (
 from randsamp.fourier import sensing_matrix
 from randsamp.obs_matrix import build_poisson
 from randsamp.signals import grid_origin
-from randsamp.solvers import OmpConfig, OverSelectionError, RecoveryError, TvConfig, omp_recover
+from randsamp.solvers import OmpConfig, OverSelectionError, RecoveryError, TvConfig, omp_recover, solve_group
 
 
 class TestRelativeError:
@@ -239,20 +239,50 @@ class TestRunExperiment:
 
     def test_working_set_of_a_batch(self):
         # A batch solves its runs in groups whose working set GROUP_BYTES
-        # bounds. 50 gauspuls runs (groups of 7 and 6) peaked at 1.24 MB
-        # traced with numpy 2.4.6, against 0.22 MB one run at a time; the
-        # bound leaves 20 % for other numpy builds. 50 naive trig runs peaked
-        # at 1.81 MB, and at 2.18 MB while a group's M0s were built before
-        # the previous group's were freed.
-        for preset, method, bound in (("gauspuls", "poisson", 1.5e6), ("trig", "naive", 2.0e6)):
+        # bounds, and draws a group's runs when the group starts. Traced
+        # with numpy 2.4.6: 50 gauspuls runs (groups of 5 and 6) peaked at
+        # 1.15 MB, against 0.22 MB one run at a time, and 500 at 1.24 MB,
+        # where drawing every run first peaked at 2.14 MB; the bound leaves
+        # 20 % for other numpy builds. 50 naive trig runs peaked at 1.75 MB,
+        # and at 2.18 MB while a group's M0s were built before the previous
+        # group's were freed. -s prints each peak against its bound.
+        cases = (("gauspuls", "poisson", 50, 1.5e6), ("gauspuls", "poisson", 500, 1.5e6), ("trig", "naive", 50, 2.0e6))
+        for preset, method, runs, bound in cases:
             run_experiment(ExperimentConfig(preset=preset, method=method, runs=2, master_seed=7))  # numpy's lazy imports
             tracemalloc.start()
             try:
-                run_experiment(ExperimentConfig(preset=preset, method=method, runs=50, master_seed=7))
+                run_experiment(ExperimentConfig(preset=preset, method=method, runs=runs, master_seed=7))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < bound, (preset, method, peak)
+            print(f"\n{runs} {preset} {method} runs: traced peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.1f} MB", end="")
+            assert peak < bound, (preset, method, runs, peak)
+
+    @pytest.mark.parametrize(
+        "kw, runs, groups",
+        [
+            ({"preset": "gauspuls"}, 12, [6, 6]),
+            ({"preset": "gauspuls", "sample_rate": 9.99e6}, 12, [6, 6]),
+            ({"preset": "trig", "method": "naive"}, 4, [4]),
+            ({"preset": "trig", "method": "poisson"}, 4, [4]),
+            ({"preset": "trig", "method": "truncated", "p_terms": 2000}, 4, [4]),
+            ({"preset": "square"}, 1, [1]),
+        ],
+        ids=["gauspuls-10MHz", "gauspuls-9.99MHz", "trig-naive", "trig-poisson", "trig-truncated-2000", "square"],
+    )
+    def test_benchmark_calls_keep_their_groups(self, monkeypatch, kw, runs, groups):
+        # The groups of perfbench's calls, which a change to _group_size's
+        # byte model must not move unseen. A gauspuls run's share is
+        # 165 528 B, 6.04 runs a group: 1 % more splits 12 runs in three.
+        sizes = []
+
+        def recording(solver, operands, ys, *settings):
+            sizes.append(len(ys))
+            return solve_group(solver, operands, ys, *settings)
+
+        monkeypatch.setattr(experiments, "solve_group", recording)
+        assert run_experiment(ExperimentConfig(runs=runs, master_seed=7, **kw)).n_failed == 0
+        assert sizes == groups
 
     def test_failed_run_row_keeps_seed_and_timings(self):
         report = run_experiment(failing_square_config())

@@ -107,6 +107,30 @@ def test_sensing_matrix_reads_bare_entries(n):
     assert np.array_equal(sensing_matrix([m0.entries, m0])[0], a)
 
 
+M0S = "a group's M0s must be one or more M x N matrices of one shape, got shapes "
+TIMES = "times must be M >= 1 sample times of one run or a G x M array of them for a group of G >= 1 runs, got shape "
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sensing_matrix([]), M0S + "[]"),
+        (lambda: sensing_matrix([np.ones(4)]), M0S + "[(4,)]"),
+        (lambda: sensing_matrix([np.ones((2, 4)), np.ones((3, 4))]), M0S + "[(2, 4), (3, 4)]"),
+        (lambda: poisson_sensing(np.zeros((0, 5)), 1.0, 16), TIMES + "(0, 5)"),
+        (lambda: poisson_sensing(np.zeros((2, 3, 4)), 1.0, 16), TIMES + "(2, 3, 4)"),
+    ],
+    ids=["no-m0", "1-d-m0", "two-shapes", "no-runs", "3-d-times"],
+)
+def test_misshapen_group_named(call, message):
+    # once an IndexError, a message naming no accepted shape, or for the
+    # closed form "times must be a nonempty 1-D array", though it takes the
+    # G x M times of a group
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_sensing_matrix_composition():
     rng = np.random.default_rng(21)
     times = np.sort(rng.uniform(0.0, 16.0, size=7))
@@ -206,8 +230,9 @@ class TestPoissonSensing:
 
     @pytest.mark.parametrize("n", [928, 927, 256, 240, 15])
     def test_operator_reads_match_its_dense_form(self, n):
-        # correlations and column norms to rounding, every column (DC and,
-        # for even N, Nyquist included) bit for bit
+        # correlations and each frequency's column pair norm and the
+        # largest column norm to rounding, every column (DC and, for even N,
+        # Nyquist included) bit for bit
         rng = np.random.default_rng(n)
         times = rng.uniform(-float(n), 2.0 * n, size=min(93, n))
         op = poisson_sensing(times, 1.0, n)
@@ -217,7 +242,12 @@ class TestPoissonSensing:
         out = halfcomplex(op.correlate(r)[None], n)[0]
         assert np.max(np.abs(out - r @ dense)) <= 1e-15 * np.abs(r).sum() / math.sqrt(n)
         sq_norms = np.einsum("ij,ij->j", dense, dense)
-        assert np.max(np.abs(op.sq_norms() - sq_norms)) <= 1e-14 * sq_norms.max()
+        pairs = np.append(sq_norms, 0.0) if n % 2 == 0 else sq_norms  # Nyquist's Im part is no column
+        pair_norms = np.sqrt(np.append(pairs[0], pairs[1::2] + pairs[2::2]))
+        norms, largest = op.pair_norms()
+        assert norms.shape == (n // 2 + 1,) and largest.shape == ()
+        assert np.max(np.abs(norms - pair_norms)) <= 1e-14 * pair_norms.max()
+        assert abs(largest - math.sqrt(sq_norms.max())) <= 1e-14 * largest
         atom = np.empty((1, len(times)), dtype=complex)  # a_j, for the one run
         for c in range(n):
             op.atom(np.array([(c + 1) // 2]), atom)

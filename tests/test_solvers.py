@@ -724,6 +724,12 @@ class TestSolve:
         if solver == "omp":
             assert result.support == []
 
+    @pytest.mark.parametrize("solver", ["omp", "tv"])
+    def test_empty_group_named(self, solver):
+        # once an IndexError from the stacking of the sensing matrices
+        with pytest.raises(ValueError, match=r"^a group's M0s must be one or more M x N matrices of one shape, got"):
+            solvers.solve_group(solver, [], np.zeros((0, 3)), OmpConfig(), TvConfig())
+
     def test_unknown_solver_rejected(self):
         m0, y = random_tv_problem(12, 32, 5)
         with pytest.raises(ValueError, match="unknown solver 'lasso'"):
